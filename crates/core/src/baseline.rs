@@ -854,7 +854,7 @@ impl BaselineSim {
             for rid in &locals {
                 cost += sw.lock_local;
                 let expected = self.expected_write_version(si, *rid);
-                let rec = self.cl.db.record_mut(*rid);
+                let mut rec = self.cl.db.record_mut(*rid);
                 if rec.version() == expected && rec.try_lock(token) {
                     self.slots[si].locked.push(*rid);
                 } else {
@@ -914,7 +914,7 @@ impl BaselineSim {
                 let (lat, _) = self.cl.access_lines_nic(dst, &first_line);
                 svc += lat;
                 let expected = self.expected_write_version(si, *rid);
-                let rec = self.cl.db.record_mut(*rid);
+                let mut rec = self.cl.db.record_mut(*rid);
                 if rec.version() == expected && rec.try_lock(token) {
                     acquired.push(*rid);
                 } else {
@@ -1249,7 +1249,7 @@ impl BaselineSim {
                     + sw.set_copy_per_line * nlines;
                 apply_write(&mut self.cl.db, &op);
                 self.cl.migration_note_write(now, op.home);
-                let rec = self.cl.db.record_mut(op.rid);
+                let mut rec = self.cl.db.record_mut(op.rid);
                 rec.bump_version();
                 rec.unlock(token);
             } else {
@@ -1292,7 +1292,7 @@ impl BaselineSim {
             let (_lat, _) = self.cl.access_lines_nic(op.home, &op.write_lines);
             apply_write(&mut self.cl.db, &op);
             self.cl.migration_note_write(now, op.home);
-            let rec = self.cl.db.record_mut(op.rid);
+            let mut rec = self.cl.db.record_mut(op.rid);
             rec.bump_version();
             rec.unlock(owner);
         }

@@ -4,15 +4,25 @@
 //! (Section VII) via a hash partition; each node owns a disjoint slab of
 //! the global cache-line address space. All simulated protocols share one
 //! `Database` — it *is* the cluster's storage.
+//!
+//! The host layout is flat, like FaRM's object regions: one 40-byte
+//! [`RecordHeader`] per record in a single vector, and every value in a
+//! database-owned arena of [`ARENA_CHUNK_BYTES`] chunks. Each record
+//! reserves its full line span in one chunk, so a freed record can be
+//! reused by any value with the same line count.
 
 use crate::index::{new_index, IndexKind, KvIndex, Lookup};
-use crate::record::{Record, RecordId};
+use crate::record::{Record, RecordHeader, RecordId, RecordMut, RecordView, LINE_BYTES};
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
 
 /// Identifies a table within a [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u16);
+
+/// Size of one value-arena chunk. Values are never split across chunks; a
+/// value whose line span exceeds this gets a chunk of its own.
+pub const ARENA_CHUNK_BYTES: usize = 1 << 20;
 
 /// Bits reserved for the per-node line-address slab; node `n`'s lines start
 /// at `n << NODE_SLAB_SHIFT`.
@@ -31,6 +41,53 @@ pub fn uniform_home(key: u64, nodes: usize) -> NodeId {
 /// The node that owns a cache-line address.
 pub fn home_of_line(line: u64) -> NodeId {
     NodeId((line >> NODE_SLAB_SHIFT) as u16)
+}
+
+/// Bump allocator for record values over fixed-size chunks. Chunks are
+/// never reallocated or freed, so a value's position is stable.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Box<[u8]>>,
+    /// Bytes handed out from the last chunk.
+    used: usize,
+}
+
+impl Arena {
+    /// Reserves `span` zeroed bytes within one chunk and returns their
+    /// position: chunk index in the high 32 bits, byte offset in the low.
+    fn alloc(&mut self, span: usize) -> u64 {
+        let fits = self
+            .chunks
+            .last()
+            .is_some_and(|c| c.len() - self.used >= span);
+        if !fits {
+            let size = span.max(ARENA_CHUNK_BYTES);
+            self.chunks.push(vec![0u8; size].into_boxed_slice());
+            self.used = 0;
+        }
+        let pos = ((self.chunks.len() - 1) as u64) << 32 | self.used as u64;
+        self.used += span;
+        pos
+    }
+
+    fn bytes(&self, pos: u64, len: u32) -> &[u8] {
+        let start = pos as u32 as usize;
+        &self.chunks[(pos >> 32) as usize][start..start + len as usize]
+    }
+
+    fn bytes_mut(&mut self, pos: u64, len: u32) -> &mut [u8] {
+        let start = pos as u32 as usize;
+        &mut self.chunks[(pos >> 32) as usize][start..start + len as usize]
+    }
+}
+
+impl std::fmt::Debug for Arena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Arena")
+            .field("chunks", &self.chunks.len())
+            .field("used", &self.used)
+            .finish()
+    }
 }
 
 #[derive(Debug)]
@@ -60,7 +117,9 @@ struct Table {
 pub struct Database {
     nodes: usize,
     tables: Vec<Table>,
-    records: Vec<Record>,
+    records: Vec<RecordHeader>,
+    /// Value bytes of every record.
+    arena: Arena,
     /// Next free line offset within each node's slab.
     next_line: Vec<u64>,
     /// Freed records available for reuse, keyed by (home, line count).
@@ -99,6 +158,7 @@ impl Database {
             nodes,
             tables: Vec::new(),
             records: Vec::new(),
+            arena: Arena::default(),
             next_line: vec![0; nodes],
             free_records: std::collections::HashMap::new(),
             history_enabled: false,
@@ -180,7 +240,7 @@ impl Database {
     }
 
     /// Inserts a record with the default (uniform hash) placement.
-    pub fn insert(&mut self, table: TableId, key: u64, value: Vec<u8>) -> RecordId {
+    pub fn insert(&mut self, table: TableId, key: u64, value: impl AsRef<[u8]>) -> RecordId {
         let home = uniform_home(key, self.nodes);
         self.insert_at(table, key, value, home)
     }
@@ -197,11 +257,14 @@ impl Database {
         &mut self,
         table: TableId,
         key: u64,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         home: NodeId,
     ) -> RecordId {
+        let value = value.as_ref();
         assert!((home.0 as usize) < self.nodes, "home {home} out of range");
-        let num_lines = value.len().div_ceil(crate::record::LINE_BYTES) as u32;
+        assert!(!value.is_empty(), "record value must be nonempty");
+        let len = u32::try_from(value.len()).expect("record value exceeds 4 GiB");
+        let num_lines = value.len().div_ceil(LINE_BYTES) as u32;
         // Reuse a freed record of the same geometry if one exists: the
         // record keeps its (bumped) incarnation, which is how Fig 1's
         // incarnation field lets readers detect freed-and-reused records.
@@ -210,16 +273,18 @@ impl Database {
             .get_mut(&(home, num_lines))
             .and_then(|v| v.pop())
         {
-            self.records[rid.0 as usize].reset_value(value);
+            self.records[rid.0 as usize].reuse(len);
             rid
         } else {
             let slab = &mut self.next_line[home.0 as usize];
             let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + *slab;
             *slab += num_lines as u64;
+            let pos = self.arena.alloc(num_lines as usize * LINE_BYTES);
             let rid = RecordId(self.records.len() as u32);
-            self.records.push(Record::new(home, base_line, value));
+            self.records.push(RecordHeader::new(base_line, pos, len));
             rid
         };
+        self.record_mut(rid).write(0, value);
         let t = &mut self.tables[table.0 as usize];
         let prev = t.index.insert(key, rid);
         assert!(prev.is_none(), "duplicate key {key} in table {table:?}");
@@ -235,14 +300,13 @@ impl Database {
     ///
     /// Panics if the record is still locked.
     pub fn remove(&mut self, table: TableId, key: u64) -> Option<RecordId> {
-        let t = &mut self.tables[table.0 as usize];
-        let rid = t.index.remove(key)?;
-        let rec = &mut self.records[rid.0 as usize];
+        let rid = self.tables[table.0 as usize].index.remove(key)?;
+        let mut rec = self.record_mut(rid);
         assert!(!rec.is_locked(), "removing a locked record");
         rec.bump_incarnation();
         let home = rec.home();
         let lines = rec.num_lines();
-        t.keys_by_home[home.0 as usize].retain(|&k| k != key);
+        self.tables[table.0 as usize].keys_by_home[home.0 as usize].retain(|&k| k != key);
         self.free_records
             .entry((home, lines))
             .or_default()
@@ -255,14 +319,17 @@ impl Database {
         self.tables[table.0 as usize].index.get(key)
     }
 
-    /// Immutable access to a record.
-    pub fn record(&self, rid: RecordId) -> &Record {
-        &self.records[rid.0 as usize]
+    /// Shared view of a record.
+    pub fn record(&self, rid: RecordId) -> Record<'_> {
+        let hdr = &self.records[rid.0 as usize];
+        RecordView::new(hdr, self.arena.bytes(hdr.offset, hdr.len))
     }
 
-    /// Mutable access to a record.
-    pub fn record_mut(&mut self, rid: RecordId) -> &mut Record {
-        &mut self.records[rid.0 as usize]
+    /// Exclusive view of a record.
+    pub fn record_mut(&mut self, rid: RecordId) -> RecordMut<'_> {
+        let hdr = &mut self.records[rid.0 as usize];
+        let data = self.arena.bytes_mut(hdr.offset, hdr.len);
+        RecordView::new(hdr, data)
     }
 
     /// A uniformly random key from `table` homed at `node`, or `None` if
@@ -418,6 +485,39 @@ mod tests {
         // keys_by_home bookkeeping follows.
         assert!(db.keys_at(t, home).contains(&8));
         assert!(!db.keys_at(t, home).contains(&7));
+        // A reused record takes any value with the same line count: a
+        // 100 B value's slot later holds 128 B, because every record
+        // reserves its full line span in the arena.
+        let short = db.insert_at(t, 9, vec![3u8; 100], home);
+        let neighbour = db.insert_at(t, 10, vec![4u8; 64], home);
+        assert_eq!(db.remove(t, 9), Some(short));
+        let long = db.insert_at(t, 11, vec![5u8; 128], home);
+        assert_eq!(long, short, "2-line slot reused for a longer value");
+        assert_eq!(db.record(long).value_len(), 128);
+        assert_eq!(db.record(long).read(96, 32), &[5u8; 32]);
+        assert_eq!(db.record(neighbour).read(0, 64), &[4u8; 64]);
+    }
+
+    #[test]
+    fn value_larger_than_a_chunk_gets_its_own() {
+        let mut db = Database::new(2);
+        let t = db.create_table("t", IndexKind::HashTable);
+        let big_len = ARENA_CHUNK_BYTES + 100;
+        let mut big = vec![0u8; big_len];
+        big[big_len - 1] = 9;
+        let before = db.insert(t, 1, vec![1u8; 64]);
+        let rid = db.insert(t, 2, &big);
+        let after = db.insert(t, 3, vec![3u8; 64]);
+        let rec = db.record(rid);
+        assert_eq!(rec.value_len(), big_len);
+        assert_eq!(rec.num_lines() as usize, big_len.div_ceil(LINE_BYTES));
+        assert_eq!(rec.read(big_len - 2, 2), &[0, 9]);
+        db.record_mut(rid).write_u64(0, 42);
+        assert_eq!(db.record(rid).read_u64(0), 42);
+        assert_eq!(db.record(before).read(0, 64), &[1u8; 64]);
+        assert_eq!(db.record(after).read(0, 64), &[3u8; 64]);
+        assert_eq!(db.arena.chunks.len(), 3, "small, big, small");
+        assert_eq!(db.arena.chunks[1].len(), big_len.div_ceil(64) * 64);
     }
 
     #[test]

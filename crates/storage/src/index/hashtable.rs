@@ -6,15 +6,40 @@ use crate::record::RecordId;
 const INITIAL_CAPACITY: usize = 16;
 const MAX_LOAD_PERCENT: usize = 70;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Empty,
-    /// A removed entry: probes continue past it, inserts may reuse it.
-    Tombstone,
-    Occupied {
-        key: u64,
-        rid: RecordId,
-    },
+/// `rid` of a never-used slot.
+const EMPTY: u32 = u32::MAX;
+/// `rid` of a removed entry: probes continue past it, inserts may reuse it.
+const TOMBSTONE: u32 = u32::MAX - 1;
+
+/// One 12-byte slot: a key and its record id, or one of the reserved ids
+/// [`EMPTY`] / [`TOMBSTONE`] (the key is then meaningless).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
+struct Slot {
+    key: u64,
+    rid: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { key: 0, rid: EMPTY };
+    const TOMBSTONE: Slot = Slot {
+        key: 0,
+        rid: TOMBSTONE,
+    };
+
+    fn occupied(key: u64, rid: RecordId) -> Slot {
+        assert!(
+            rid.0 < TOMBSTONE,
+            "record id {} is reserved for empty/tombstone hash slots",
+            rid.0
+        );
+        Slot { key, rid: rid.0 }
+    }
+
+    /// The entry's record id if this slot holds `key`.
+    fn holds(self, key: u64) -> Option<RecordId> {
+        (self.rid < TOMBSTONE && self.key == key).then_some(RecordId(self.rid))
+    }
 }
 
 /// An open-addressing hash table over `u64` keys with linear probing and
@@ -51,7 +76,7 @@ impl HashTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         HashTable {
-            slots: vec![Slot::Empty; INITIAL_CAPACITY],
+            slots: vec![Slot::EMPTY; INITIAL_CAPACITY],
             len: 0,
             tombstones: 0,
         }
@@ -68,12 +93,12 @@ impl HashTable {
 
     /// Rehashes into `capacity` slots, dropping tombstones.
     fn rehash(&mut self, capacity: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![Slot::Empty; capacity]);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; capacity]);
         self.len = 0;
         self.tombstones = 0;
         for slot in old {
-            if let Slot::Occupied { key, rid } = slot {
-                self.insert(key, rid);
+            if slot.rid < TOMBSTONE {
+                self.insert(slot.key, RecordId(slot.rid));
             }
         }
     }
@@ -91,6 +116,7 @@ impl Default for HashTable {
 
 impl KvIndex for HashTable {
     fn insert(&mut self, key: u64, rid: RecordId) -> Option<RecordId> {
+        let new = Slot::occupied(key, rid);
         if (self.len + self.tombstones + 1) * 100 > self.slots.len() * MAX_LOAD_PERCENT {
             // Growing also sweeps tombstones; if live entries alone are
             // under half the load budget, rehash at the same size instead.
@@ -103,29 +129,25 @@ impl KvIndex for HashTable {
         let mut i = mix(key) as usize & self.mask();
         let mut first_tombstone: Option<usize> = None;
         loop {
-            match self.slots[i] {
-                Slot::Empty => {
-                    // Prefer reusing a tombstone seen on the way.
-                    let target = first_tombstone.unwrap_or(i);
-                    if self.slots[target] == Slot::Tombstone {
-                        self.tombstones -= 1;
-                    }
-                    self.slots[target] = Slot::Occupied { key, rid };
-                    self.len += 1;
-                    return None;
+            let slot = self.slots[i];
+            if slot.rid == EMPTY {
+                // Prefer reusing a tombstone seen on the way.
+                let target = first_tombstone.unwrap_or(i);
+                if self.slots[target].rid == TOMBSTONE {
+                    self.tombstones -= 1;
                 }
-                Slot::Tombstone => {
-                    if first_tombstone.is_none() {
-                        first_tombstone = Some(i);
-                    }
-                    i = (i + 1) & self.mask();
-                }
-                Slot::Occupied { key: k, rid: old } if k == key => {
-                    self.slots[i] = Slot::Occupied { key, rid };
-                    return Some(old);
-                }
-                Slot::Occupied { .. } => i = (i + 1) & self.mask(),
+                self.slots[target] = new;
+                self.len += 1;
+                return None;
             }
+            if let Some(old) = slot.holds(key) {
+                self.slots[i] = new;
+                return Some(old);
+            }
+            if slot.rid == TOMBSTONE && first_tombstone.is_none() {
+                first_tombstone = Some(i);
+            }
+            i = (i + 1) & self.mask();
         }
     }
 
@@ -133,30 +155,32 @@ impl KvIndex for HashTable {
         let mut i = mix(key) as usize & self.mask();
         let mut depth = 1;
         loop {
-            match self.slots[i] {
-                Slot::Empty => return None,
-                Slot::Occupied { key: k, rid } if k == key => return Some(Lookup { rid, depth }),
-                Slot::Occupied { .. } | Slot::Tombstone => {
-                    i = (i + 1) & self.mask();
-                    depth += 1;
-                }
+            let slot = self.slots[i];
+            if slot.rid == EMPTY {
+                return None;
             }
+            if let Some(rid) = slot.holds(key) {
+                return Some(Lookup { rid, depth });
+            }
+            i = (i + 1) & self.mask();
+            depth += 1;
         }
     }
 
     fn remove(&mut self, key: u64) -> Option<RecordId> {
         let mut i = mix(key) as usize & self.mask();
         loop {
-            match self.slots[i] {
-                Slot::Empty => return None,
-                Slot::Occupied { key: k, rid } if k == key => {
-                    self.slots[i] = Slot::Tombstone;
-                    self.len -= 1;
-                    self.tombstones += 1;
-                    return Some(rid);
-                }
-                Slot::Occupied { .. } | Slot::Tombstone => i = (i + 1) & self.mask(),
+            let slot = self.slots[i];
+            if slot.rid == EMPTY {
+                return None;
             }
+            if let Some(rid) = slot.holds(key) {
+                self.slots[i] = Slot::TOMBSTONE;
+                self.len -= 1;
+                self.tombstones += 1;
+                return Some(rid);
+            }
+            i = (i + 1) & self.mask();
         }
     }
 
@@ -180,6 +204,23 @@ mod tests {
         conformance::overwrite_returns_old(&mut HashTable::new());
         conformance::handles_adversarial_keys(&mut HashTable::new());
         conformance::remove_roundtrip(&mut HashTable::new());
+    }
+
+    #[test]
+    fn slot_fits_12_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for empty/tombstone")]
+    fn reserved_rid_rejected() {
+        HashTable::new().insert(1, RecordId(TOMBSTONE));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for empty/tombstone")]
+    fn empty_rid_rejected() {
+        HashTable::new().insert(1, RecordId(EMPTY));
     }
 
     #[test]

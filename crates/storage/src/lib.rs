@@ -2,10 +2,11 @@
 //!
 //! The storage substrate of the HADES (ISCA 2024) reproduction:
 //!
-//! * [`record::Record`] — the Fig 1 augmented record: value bytes plus the
-//!   software metadata (version, lock, incarnation) that the FaRM-style
-//!   baseline and the HADES-H local path rely on, with helpers for mapping
-//!   byte ranges to cache lines (HADES operates at line granularity).
+//! * [`record::Record`] / [`record::RecordMut`] — views of the Fig 1
+//!   augmented record: value bytes plus the software metadata (version,
+//!   lock, incarnation) that the FaRM-style baseline and the HADES-H local
+//!   path rely on, with helpers for mapping byte ranges to cache lines
+//!   (HADES operates at line granularity).
 //! * [`index`] — the four store shapes of the paper's evaluation, built
 //!   from scratch: open-addressing [`index::HashTable`] (HT), a
 //!   [`index::SkipList`] (Map), an in-memory [`index::BTree`], and a
@@ -14,6 +15,11 @@
 //! * [`db::Database`] — tables over a uniform static hash partition
 //!   (Section VII), per-node cache-line slabs, and locality-aware key
 //!   sampling for the Fig 12b experiment.
+//!
+//! The host layout is flat: the database keeps one 40-byte
+//! [`record::RecordHeader`] per record in a single vector and every value
+//! in an arena of 1 MiB chunks ([`db::ARENA_CHUNK_BYTES`]), so loading a
+//! record costs no allocation of its own. Hash-table slots are 12 bytes.
 //!
 //! # Examples
 //!
@@ -36,4 +42,4 @@ pub mod record;
 
 pub use db::{uniform_home, Database, TableId};
 pub use index::{IndexKind, KvIndex, Lookup};
-pub use record::{Record, RecordId, LINE_BYTES};
+pub use record::{Record, RecordId, RecordMut, LINE_BYTES};
