@@ -16,7 +16,8 @@
 //! byte-deterministic across machines), `--batch N` (append batched
 //! duplicates of every cell, run under adaptive doorbell coalescing
 //! capped at N verbs — cells labeled `<workload>+batchN`), `--out PATH`
-//! (default stdout), `--bench-id ID`.
+//! (default stdout), `--bench-id ID`. `--help` prints the usage; an
+//! unknown flag or a missing or unparsable value exits 2 with the usage.
 //!
 //! Compare mode: diffs two bench documents cell-by-cell and exits
 //! non-zero if any cell's throughput dropped, or p99 latency rose, by
@@ -28,15 +29,11 @@
 //! ```
 
 use hades_bench::harness::{
-    compare, matrix_json, run_matrix, BenchConfig, Comparison, DEFAULT_SEED, DEFAULT_THRESHOLD,
+    compare, matrix_json, parse_bench_args, run_matrix, BenchCommand, Comparison, BENCH_USAGE,
 };
-use hades_bench::{flag_value, has_flag};
 use hades_telemetry::json::Json;
 
-fn run_compare(old_path: &str, new_path: &str) -> ! {
-    let threshold: f64 = flag_value("--threshold")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_THRESHOLD);
+fn run_compare(old_path: &str, new_path: &str, threshold: f64) -> ! {
     let load = |path: &str| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("bench: cannot read {path}: {e}");
@@ -69,29 +66,22 @@ fn run_compare(old_path: &str, new_path: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--compare") {
-        match (args.get(i + 1), args.get(i + 2)) {
-            (Some(old), Some(new)) => run_compare(old, new),
-            _ => {
-                eprintln!(
-                    "usage: bench --compare <baseline.json> <candidate.json> [--threshold F]"
-                );
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (bc, out) = match parse_bench_args(&args) {
+        Ok(BenchCommand::Help) => {
+            println!("{BENCH_USAGE}");
+            return;
         }
-    }
-    let bc = BenchConfig {
-        seed: flag_value("--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_SEED),
-        smoke: has_flag("--smoke"),
-        profile: has_flag("--profile"),
-        tail: has_flag("--tail"),
-        timeseries: has_flag("--timeseries"),
-        wall_clock: !has_flag("--no-wall"),
-        batch: flag_value("--batch").and_then(|s| s.parse().ok()),
-        bench_id: flag_value("--bench-id").unwrap_or_else(|| "local".to_string()),
+        Ok(BenchCommand::Compare {
+            old,
+            new,
+            threshold,
+        }) => run_compare(&old, &new, threshold),
+        Ok(BenchCommand::Run { config, out }) => (config, out),
+        Err(e) => {
+            eprintln!("bench: {e}\n{BENCH_USAGE}");
+            std::process::exit(2);
+        }
     };
     let (scale, warmup, measure) = bc.sizing();
     eprintln!(
@@ -145,7 +135,7 @@ fn main() {
         }
     }
     let doc = matrix_json(&cells, &bc).render();
-    match flag_value("--out") {
+    match out {
         Some(path) => {
             std::fs::write(&path, format!("{doc}\n")).unwrap_or_else(|e| {
                 eprintln!("bench: cannot write {path}: {e}");

@@ -144,6 +144,109 @@ impl BenchConfig {
     }
 }
 
+/// Usage text of the `bench` binary.
+pub const BENCH_USAGE: &str = "\
+usage: bench [--smoke] [--seed <u64>] [--profile] [--tail] [--timeseries] [--no-wall]
+             [--batch <n>] [--bench-id <id>] [--out <path>]
+       bench --compare <baseline.json> <candidate.json> [--threshold <fraction>]
+       bench --help";
+
+/// What one `bench` invocation asks for.
+#[derive(Debug, Clone)]
+pub enum BenchCommand {
+    /// Print [`BENCH_USAGE`].
+    Help,
+    /// Run the matrix; write the document to `out`, or stdout if `None`.
+    Run {
+        /// Matrix options.
+        config: BenchConfig,
+        /// Output path.
+        out: Option<String>,
+    },
+    /// Diff two bench documents (see [`compare`]).
+    Compare {
+        /// Baseline document path.
+        old: String,
+        /// Candidate document path.
+        new: String,
+        /// Regression threshold as a fraction.
+        threshold: f64,
+    },
+}
+
+/// Parses the `bench` arguments after the program name. Unknown or
+/// repeated flags, missing or unparsable values, `--threshold` without
+/// `--compare`, and run flags combined with `--compare` are errors.
+pub fn parse_bench_args(args: &[String]) -> Result<BenchCommand, String> {
+    let mut config = BenchConfig::default();
+    let mut out = None;
+    let mut compare_paths = None;
+    let mut threshold = None;
+    let mut run_flag = None;
+    let mut seen: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if flag == "--help" || flag == "-h" {
+            return Ok(BenchCommand::Help);
+        }
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given twice"));
+        }
+        seen.push(flag);
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--compare" => {
+                compare_paths = Some((value()?, value()?));
+                continue;
+            }
+            "--threshold" => {
+                let v = value()?;
+                let t = v.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 0.0);
+                threshold =
+                    Some(t.ok_or_else(|| format!("--threshold `{v}` is not a fraction >= 0"))?);
+                continue;
+            }
+            "--smoke" => config.smoke = true,
+            "--profile" => config.profile = true,
+            "--tail" => config.tail = true,
+            "--timeseries" => config.timeseries = true,
+            "--no-wall" => config.wall_clock = false,
+            "--seed" => {
+                let v = value()?;
+                config.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed `{v}` is not an unsigned integer"))?;
+            }
+            "--batch" => {
+                let v = value()?;
+                let n = v.parse::<u32>().ok().filter(|&n| n > 0);
+                config.batch =
+                    Some(n.ok_or_else(|| format!("--batch `{v}` is not a positive integer"))?);
+            }
+            "--bench-id" => config.bench_id = value()?,
+            "--out" => out = Some(value()?),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+        run_flag.get_or_insert(flag);
+    }
+    match (compare_paths, run_flag) {
+        (Some(_), Some(flag)) => Err(format!("{flag} cannot be combined with --compare")),
+        (Some((old, new)), None) => Ok(BenchCommand::Compare {
+            old,
+            new,
+            threshold: threshold.unwrap_or(DEFAULT_THRESHOLD),
+        }),
+        (None, _) if threshold.is_some() => Err("--threshold needs --compare".to_string()),
+        (None, _) => Ok(BenchCommand::Run { config, out }),
+    }
+}
+
 /// One finished cell.
 #[derive(Debug)]
 pub struct CellResult {

@@ -7,28 +7,19 @@
 //! squashed (Section V-A). Section VIII-C additionally modifies the
 //! replacement policy to prefer non-speculative victims within a set. Both
 //! behaviours are implemented here.
+//!
+//! # Layout
+//!
+//! A cache is two flat, zero-initialised arrays indexed by
+//! `set * ways + position`: a `u64` tag (`line + 1`, 0 = invalid) and a
+//! `u16` `WrTX_ID` owner (`slot + 1`, 0 = untagged). That is 10 bytes per
+//! way and one allocation per array; the zeroed arrays come from lazily
+//! zeroed pages, so sets that are never touched never become resident.
+//! Recency is kept by position rather than by timestamps: each set's ways
+//! are stored most-recently-used first, and a hit or a fill moves its way
+//! to the front.
 
 use hades_sim::ids::SlotId;
-
-/// One cache way.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    line: u64,
-    valid: bool,
-    /// LRU timestamp (bigger = more recent).
-    stamp: u64,
-    /// `WrTX_ID` tag: the local transaction slot that speculatively wrote
-    /// this line, if any (LLC/directory only; private caches leave it
-    /// `None`).
-    spec_owner: Option<SlotId>,
-}
-
-const INVALID: Way = Way {
-    line: 0,
-    valid: false,
-    stamp: 0,
-    spec_owner: None,
-};
 
 /// Result of bringing a line into a cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,32 +48,44 @@ pub enum Fill {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Way>>,
+    /// `line + 1` per way (0 = invalid); each set's ways in MRU order.
+    tags: Vec<u64>,
+    /// `WrTX_ID` tag per way as `slot + 1` (0 = untagged). Only the LLC
+    /// tags lines; private caches leave every owner 0.
+    owners: Vec<u16>,
     num_sets: usize,
     ways: usize,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
 
+/// The stored tag of `line`.
+fn tag_of(line: u64) -> u64 {
+    line.checked_add(1)
+        .expect("line address u64::MAX cannot be cached")
+}
+
 impl SetAssocCache {
     /// Creates a cache of `bytes` capacity with `line_bytes` lines and
-    /// `ways` associativity.
+    /// `ways` associativity: `bytes / line_bytes / ways` sets, rounded
+    /// down. The set count need not be a power of two (the default 20 MB
+    /// 16-way LLC has 20,480 sets); lines map to sets by `line % sets`.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one set, or if sizes
-    /// are not powers-of-two multiples.
+    /// Panics if `ways` or `line_bytes` is zero, or if `bytes` holds fewer
+    /// than `ways` lines (less than one set).
     pub fn new(bytes: usize, line_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be nonzero");
+        assert!(line_bytes > 0, "line size must be nonzero");
         let lines = bytes / line_bytes;
         assert!(lines >= ways, "cache smaller than one set");
         let num_sets = lines / ways;
         SetAssocCache {
-            sets: vec![vec![INVALID; ways]; num_sets],
+            tags: vec![0; num_sets * ways],
+            owners: vec![0; num_sets * ways],
             num_sets,
             ways,
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -108,141 +111,122 @@ impl SetAssocCache {
         (line % self.num_sets as u64) as usize
     }
 
+    /// Index of the first way of `line`'s set.
+    fn base(&self, line: u64) -> usize {
+        self.set_of(line) * self.ways
+    }
+
+    /// Index of the way holding `line`, if resident.
+    fn find(&self, line: u64) -> Option<usize> {
+        let tag = tag_of(line);
+        let base = self.base(line);
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|i| base + i)
+    }
+
     /// Whether `line` is resident.
     pub fn contains(&self, line: u64) -> bool {
-        let s = self.set_of(line);
-        self.sets[s].iter().any(|w| w.valid && w.line == line)
+        self.find(line).is_some()
     }
 
     /// The speculative owner (`WrTX_ID` tag) of `line`, if resident and
     /// tagged.
     pub fn spec_owner(&self, line: u64) -> Option<SlotId> {
-        let s = self.set_of(line);
-        self.sets[s]
-            .iter()
-            .find(|w| w.valid && w.line == line)
-            .and_then(|w| w.spec_owner)
+        let owner = self.owners[self.find(line)?];
+        (owner != 0).then(|| SlotId(owner - 1))
     }
 
     /// Accesses `line`, filling it on a miss. The victim choice prefers
     /// invalid ways, then the LRU *non-speculative* way, and only evicts a
     /// speculative line when the whole set is speculative (Section VIII-C
     /// replacement policy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is `u64::MAX`, which has no tag encoding.
     pub fn touch(&mut self, line: u64) -> Fill {
-        self.clock += 1;
-        let stamp = self.clock;
-        let s = self.set_of(line);
-        let set = &mut self.sets[s];
-
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.line == line) {
-            w.stamp = stamp;
+        let tag = tag_of(line);
+        let base = self.base(line);
+        let tags = &self.tags[base..base + self.ways];
+        if let Some(i) = tags.iter().position(|&t| t == tag) {
             self.hits += 1;
+            self.make_mru(base, i);
             return Fill::Hit;
         }
         self.misses += 1;
+        let owners = &self.owners[base..base + self.ways];
+        let (i, fill) = if let Some(i) = tags.iter().position(|&t| t == 0) {
+            (i, Fill::Miss)
+        } else if let Some(i) = owners.iter().rposition(|&o| o == 0) {
+            (i, Fill::Evicted(tags[i] - 1))
+        } else {
+            // Entire set is speculative: evict the LRU speculative line
+            // and report its owner for squashing.
+            let i = self.ways - 1;
+            let owner = SlotId(owners[i] - 1);
+            (i, Fill::EvictedSpeculative(tags[i] - 1, owner))
+        };
+        self.tags[base + i] = tag;
+        self.owners[base + i] = 0;
+        self.make_mru(base, i);
+        fill
+    }
 
-        // Invalid way?
-        if let Some(w) = set.iter_mut().find(|w| !w.valid) {
-            *w = Way {
-                line,
-                valid: true,
-                stamp,
-                spec_owner: None,
-            };
-            return Fill::Miss;
-        }
-
-        // LRU among non-speculative ways first.
-        let victim = set
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.spec_owner.is_none())
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i);
-        match victim {
-            Some(i) => {
-                let old = set[i].line;
-                set[i] = Way {
-                    line,
-                    valid: true,
-                    stamp,
-                    spec_owner: None,
-                };
-                Fill::Evicted(old)
-            }
-            None => {
-                // Entire set is speculative: evict the LRU speculative line
-                // and report its owner for squashing.
-                let (i, _) = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .expect("nonzero associativity");
-                let old = set[i].line;
-                let owner = set[i].spec_owner.expect("all ways speculative");
-                set[i] = Way {
-                    line,
-                    valid: true,
-                    stamp,
-                    spec_owner: None,
-                };
-                Fill::EvictedSpeculative(old, owner)
-            }
-        }
+    /// Moves way `i` of the set starting at `base` to the front, shifting
+    /// the more recently used ways back by one.
+    fn make_mru(&mut self, base: usize, i: usize) {
+        self.tags[base..=base + i].rotate_right(1);
+        self.owners[base..=base + i].rotate_right(1);
     }
 
     /// Sets the `WrTX_ID` tag of a resident line.
     ///
     /// # Panics
     ///
-    /// Panics if the line is not resident (callers must `touch` first).
+    /// Panics if the line is not resident (callers must `touch` first), or
+    /// if `owner` is `SlotId(u16::MAX)`, which has no tag encoding.
     pub fn set_spec_owner(&mut self, line: u64, owner: SlotId) {
-        let s = self.set_of(line);
-        let w = self.sets[s]
-            .iter_mut()
-            .find(|w| w.valid && w.line == line)
-            .expect("tagging a non-resident line");
-        w.spec_owner = Some(owner);
+        let encoded = owner
+            .0
+            .checked_add(1)
+            .expect("SlotId(u16::MAX) cannot be encoded as a WrTX_ID tag");
+        let w = self.find(line).expect("tagging a non-resident line");
+        self.owners[w] = encoded;
     }
 
     /// Clears the `WrTX_ID` tag of `line` if resident; returns whether a tag
     /// was cleared.
     pub fn clear_spec_owner(&mut self, line: u64) -> bool {
-        let s = self.set_of(line);
-        if let Some(w) = self.sets[s]
-            .iter_mut()
-            .find(|w| w.valid && w.line == line && w.spec_owner.is_some())
-        {
-            w.spec_owner = None;
-            true
-        } else {
-            false
+        match self.find(line) {
+            Some(w) if self.owners[w] != 0 => {
+                self.owners[w] = 0;
+                true
+            }
+            _ => false,
         }
     }
 
     /// Invalidates `line` if resident (used when squashing: speculative
     /// data must be discarded).
     pub fn invalidate(&mut self, line: u64) {
-        let s = self.set_of(line);
-        if let Some(w) = self.sets[s].iter_mut().find(|w| w.valid && w.line == line) {
-            w.valid = false;
-            w.spec_owner = None;
+        if let Some(w) = self.find(line) {
+            self.tags[w] = 0;
+            self.owners[w] = 0;
         }
     }
 
     /// Number of resident lines currently tagged speculative.
     pub fn speculative_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|w| w.valid && w.spec_owner.is_some())
-            .count()
+        self.owners.iter().filter(|&&o| o != 0).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_sim::rng::SimRng;
 
     #[test]
     fn hit_after_fill() {
@@ -323,9 +307,227 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot be encoded")]
+    fn unencodable_slot_panics() {
+        let mut c = SetAssocCache::new(1024, 64, 2);
+        c.touch(1);
+        c.set_spec_owner(1, SlotId(u16::MAX));
+    }
+
+    #[test]
+    fn largest_encodable_slot_round_trips() {
+        let mut c = SetAssocCache::new(1024, 64, 2);
+        c.touch(1);
+        c.set_spec_owner(1, SlotId(u16::MAX - 1));
+        assert_eq!(c.spec_owner(1), Some(SlotId(u16::MAX - 1)));
+    }
+
+    #[test]
     fn geometry() {
         let c = SetAssocCache::new(4 << 20, 64, 16);
         assert_eq!(c.num_sets(), 4096);
         assert_eq!(c.ways(), 16);
+        // Table III LLC for five cores: 20 MB, 16-way, not a power of two.
+        let llc = SetAssocCache::new(5 * (4 << 20), 64, 16);
+        assert_eq!(llc.num_sets(), 20_480);
+        assert_eq!(llc.set_of(20_480 + 7), 7);
+    }
+
+    /// Reference model of the replacement policy, written the direct
+    /// way: one `Vec` per set, a per-cache clock, and an LRU stamp per
+    /// way, with victims chosen by comparing stamps.
+    struct StampCache {
+        sets: Vec<Vec<StampWay>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    #[derive(Clone, Copy)]
+    struct StampWay {
+        line: u64,
+        valid: bool,
+        stamp: u64,
+        spec_owner: Option<SlotId>,
+    }
+
+    impl StampCache {
+        fn new(bytes: usize, line_bytes: usize, ways: usize) -> Self {
+            let invalid = StampWay {
+                line: 0,
+                valid: false,
+                stamp: 0,
+                spec_owner: None,
+            };
+            StampCache {
+                sets: vec![vec![invalid; ways]; bytes / line_bytes / ways],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&self, line: u64) -> &[StampWay] {
+            &self.sets[(line % self.sets.len() as u64) as usize]
+        }
+
+        fn way_mut(&mut self, line: u64) -> Option<&mut StampWay> {
+            let s = (line % self.sets.len() as u64) as usize;
+            self.sets[s].iter_mut().find(|w| w.valid && w.line == line)
+        }
+
+        fn contains(&self, line: u64) -> bool {
+            self.set(line).iter().any(|w| w.valid && w.line == line)
+        }
+
+        fn spec_owner(&self, line: u64) -> Option<SlotId> {
+            self.set(line)
+                .iter()
+                .find(|w| w.valid && w.line == line)
+                .and_then(|w| w.spec_owner)
+        }
+
+        fn touch(&mut self, line: u64) -> Fill {
+            self.clock += 1;
+            let stamp = self.clock;
+            let s = (line % self.sets.len() as u64) as usize;
+            let set = &mut self.sets[s];
+            if let Some(w) = set.iter_mut().find(|w| w.valid && w.line == line) {
+                w.stamp = stamp;
+                self.hits += 1;
+                return Fill::Hit;
+            }
+            self.misses += 1;
+            let fresh = StampWay {
+                line,
+                valid: true,
+                stamp,
+                spec_owner: None,
+            };
+            if let Some(w) = set.iter_mut().find(|w| !w.valid) {
+                *w = fresh;
+                return Fill::Miss;
+            }
+            let victim = set
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.spec_owner.is_none())
+                .min_by_key(|(_, w)| w.stamp)
+                .map(|(i, _)| i);
+            match victim {
+                Some(i) => {
+                    let old = set[i].line;
+                    set[i] = fresh;
+                    Fill::Evicted(old)
+                }
+                None => {
+                    let (i, _) = set.iter().enumerate().min_by_key(|(_, w)| w.stamp).unwrap();
+                    let old = set[i];
+                    set[i] = fresh;
+                    Fill::EvictedSpeculative(old.line, old.spec_owner.unwrap())
+                }
+            }
+        }
+
+        fn set_spec_owner(&mut self, line: u64, owner: SlotId) {
+            self.way_mut(line).expect("resident").spec_owner = Some(owner);
+        }
+
+        fn clear_spec_owner(&mut self, line: u64) -> bool {
+            match self.way_mut(line) {
+                Some(w) if w.spec_owner.is_some() => {
+                    w.spec_owner = None;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            if let Some(w) = self.way_mut(line) {
+                w.valid = false;
+                w.spec_owner = None;
+            }
+        }
+
+        fn speculative_lines(&self) -> usize {
+            self.sets
+                .iter()
+                .flatten()
+                .filter(|w| w.valid && w.spec_owner.is_some())
+                .count()
+        }
+    }
+
+    /// Drives the flat cache and the stamp reference with the same seeded
+    /// random operations and asserts they agree after every one.
+    fn differential(bytes: usize, ways: usize, seed: u64, ops: usize) {
+        let mut flat = SetAssocCache::new(bytes, 64, ways);
+        let mut reference = StampCache::new(bytes, 64, ways);
+        let sets = flat.num_sets() as u64;
+        // Roughly three lines per way, so sets overflow and every victim
+        // branch is taken.
+        let span = sets * ways as u64 * 3;
+        let mut rng = SimRng::seed_from(seed);
+        let mut speculative_evictions = 0;
+        for op in 0..ops {
+            let line = rng.below(span);
+            match rng.below(10) {
+                0..=4 => {
+                    let fill = flat.touch(line);
+                    assert_eq!(fill, reference.touch(line), "op {op}: touch {line}");
+                    if matches!(fill, Fill::EvictedSpeculative(..)) {
+                        speculative_evictions += 1;
+                    }
+                }
+                5..=7 if flat.contains(line) => {
+                    let owner = SlotId(rng.below(64) as u16);
+                    flat.set_spec_owner(line, owner);
+                    reference.set_spec_owner(line, owner);
+                }
+                8 => assert_eq!(
+                    flat.clear_spec_owner(line),
+                    reference.clear_spec_owner(line),
+                    "op {op}: clear {line}"
+                ),
+                9 => {
+                    flat.invalidate(line);
+                    reference.invalidate(line);
+                }
+                _ => {}
+            }
+            let probe = rng.below(span);
+            for l in [line, probe] {
+                assert_eq!(flat.contains(l), reference.contains(l), "op {op}: {l}");
+                assert_eq!(flat.spec_owner(l), reference.spec_owner(l), "op {op}: {l}");
+            }
+            assert_eq!(flat.hit_stats(), (reference.hits, reference.misses));
+            assert_eq!(flat.speculative_lines(), reference.speculative_lines());
+        }
+        assert!(
+            speculative_evictions > 0,
+            "{bytes} B {ways}-way: the all-speculative victim path never ran"
+        );
+    }
+
+    #[test]
+    fn matches_stamp_reference_single_set() {
+        differential(4 * 64, 4, 1, 4_000);
+    }
+
+    #[test]
+    fn matches_stamp_reference_two_way() {
+        differential(16 * 64, 2, 2, 6_000);
+    }
+
+    #[test]
+    fn matches_stamp_reference_sixteen_way() {
+        differential(4 * 16 * 64, 16, 3, 20_000);
+    }
+
+    #[test]
+    fn matches_stamp_reference_non_power_of_two_sets() {
+        differential(5 * 4 * 64, 4, 4, 10_000);
+        differential(7 * 3 * 64, 3, 5, 10_000);
     }
 }

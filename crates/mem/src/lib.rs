@@ -11,6 +11,12 @@
 //!
 //! Timing follows Table III: L1 2 cycles, L2 12, LLC 40, DRAM 100 ns.
 //!
+//! Each cache is two flat, zero-initialised arrays: a `u64` tag and a
+//! `u16` `WrTX_ID` owner per way, 10 bytes per way, with every set's ways
+//! stored most-recently-used first instead of carrying LRU timestamps.
+//! Sets that are never touched stay on lazily zeroed pages, so the 20 MB
+//! Table III LLC costs host memory only for the sets a run uses.
+//!
 //! # Examples
 //!
 //! ```

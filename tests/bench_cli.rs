@@ -1,0 +1,97 @@
+//! The `bench` command line is strict: every flag it does not know, and
+//! every value it cannot parse, is an error instead of a silent default.
+
+use hades_bench::harness::{parse_bench_args, BenchCommand, DEFAULT_SEED, DEFAULT_THRESHOLD};
+
+fn parse(args: &[&str]) -> Result<BenchCommand, String> {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    parse_bench_args(&args)
+}
+
+fn error(args: &[&str]) -> String {
+    match parse(args) {
+        Err(e) => e,
+        Ok(cmd) => panic!("{args:?} parsed as {cmd:?}"),
+    }
+}
+
+#[test]
+fn no_flags_runs_the_default_matrix() {
+    let Ok(BenchCommand::Run { config, out }) = parse(&[]) else {
+        panic!("empty command line must run");
+    };
+    assert_eq!(config.seed, DEFAULT_SEED);
+    assert!(!config.smoke && config.wall_clock && config.batch.is_none());
+    assert_eq!(config.bench_id, "local");
+    assert_eq!(out, None);
+}
+
+#[test]
+fn run_flags_are_applied() {
+    let cmd = parse(&[
+        "--smoke",
+        "--seed",
+        "7",
+        "--profile",
+        "--tail",
+        "--timeseries",
+        "--no-wall",
+        "--batch",
+        "16",
+        "--bench-id",
+        "ci",
+        "--out",
+        "BENCH_ci.json",
+    ]);
+    let Ok(BenchCommand::Run { config, out }) = cmd else {
+        panic!("{cmd:?}");
+    };
+    assert_eq!(config.seed, 7);
+    assert!(config.smoke && config.profile && config.tail && config.timeseries);
+    assert!(!config.wall_clock);
+    assert_eq!(config.batch, Some(16));
+    assert_eq!(config.bench_id, "ci");
+    assert_eq!(out.as_deref(), Some("BENCH_ci.json"));
+}
+
+#[test]
+fn compare_mode_takes_two_paths_and_a_threshold() {
+    let cmd = parse(&["--compare", "a.json", "b.json"]);
+    let Ok(BenchCommand::Compare {
+        old,
+        new,
+        threshold,
+    }) = cmd
+    else {
+        panic!("{cmd:?}");
+    };
+    assert_eq!((old.as_str(), new.as_str()), ("a.json", "b.json"));
+    assert_eq!(threshold, DEFAULT_THRESHOLD);
+    let cmd = parse(&["--threshold", "0.25", "--compare", "a.json", "b.json"]);
+    assert!(matches!(cmd, Ok(BenchCommand::Compare { threshold, .. }) if threshold == 0.25));
+}
+
+#[test]
+fn help_is_recognised() {
+    assert!(matches!(parse(&["--help"]), Ok(BenchCommand::Help)));
+    assert!(matches!(parse(&["--smoke", "-h"]), Ok(BenchCommand::Help)));
+}
+
+#[test]
+fn malformed_command_lines_are_errors() {
+    assert!(error(&["--treshold", "0.1"]).contains("unknown argument `--treshold`"));
+    assert!(error(&["smoke"]).contains("unknown argument"));
+    assert!(error(&["--seed", "0x10"]).contains("--seed"));
+    assert!(error(&["--seed", "-1"]).contains("--seed"));
+    assert!(error(&["--seed"]).contains("needs a value"));
+    assert!(error(&["--out", "--smoke"]).contains("--out needs a value"));
+    assert!(error(&["--batch", "0"]).contains("--batch"));
+    assert!(error(&["--batch", "many"]).contains("--batch"));
+    assert!(error(&["--smoke", "--smoke"]).contains("given twice"));
+    assert!(error(&["--compare", "a.json"]).contains("needs a value"));
+    assert!(error(&["--compare", "a", "b", "--threshold", "ten"]).contains("--threshold"));
+    assert!(error(&["--compare", "a", "b", "--threshold", "-0.1"]).contains("--threshold"));
+    assert!(error(&["--compare", "a", "b", "--threshold", "NaN"]).contains("--threshold"));
+    assert!(error(&["--threshold", "0.1"]).contains("needs --compare"));
+    assert!(error(&["--compare", "a", "b", "--smoke"]).contains("--smoke cannot be combined"));
+}
