@@ -1,19 +1,31 @@
-//! The hardware-only HADES protocol (Section V-A).
+//! The HADES protocol engine (Section V), with its two local paths.
 //!
-//! Local accesses are tracked at cache-line granularity by real Bloom
-//! filters beside the directory (Module 3) and `WrTX_ID` tags in the LLC
-//! (Module 2); remote accesses are tracked by Bloom filters in the home
-//! node's SmartNIC (Module 4a). L–L conflicts are detected *eagerly* at
-//! access time (the second accessor squashes itself); L–R and R–R
-//! conflicts *lazily* when the first transaction commits (the committer
-//! squashes the other). Commit partially locks each involved directory via
-//! Locking Buffers (Section V-B) and runs the Intend-to-commit → Ack →
-//! Validation flow of Table II — one network round trip on the critical
-//! path, with updates pushed one-way afterwards.
+//! Remote accesses are tracked by Bloom filters in the home node's
+//! SmartNIC (Module 4a) on both paths. Commit partially locks each
+//! involved directory via Locking Buffers (Section V-B) and runs the
+//! Intend-to-commit → Ack → Validation flow of Table II — one network
+//! round trip on the critical path, with updates pushed one-way
+//! afterwards. Only the tracking of *local* accesses differs:
 //!
-//! There are no record versions, no read/write-set software bookkeeping,
-//! no read-atomicity checks and no read-before-write fetches: exactly the
-//! rows of Table I.
+//! * [`LocalPath::Hardware`] — HADES (Section V-A). Local accesses are
+//!   tracked at cache-line granularity by real Bloom filters beside the
+//!   directory (Module 3) and `WrTX_ID` tags in the LLC (Module 2). L–L
+//!   conflicts are detected *eagerly* at access time (the second accessor
+//!   squashes itself); L–R and R–R conflicts *lazily* when the first
+//!   transaction commits (the committer squashes the other). There are no
+//!   record versions, no read/write-set software bookkeeping, no
+//!   read-atomicity checks and no read-before-write fetches: exactly the
+//!   rows of Table I.
+//! * [`LocalPath::Software`] — HADES-H (Section V-D). Local operations
+//!   stay in software, as in the baseline: records are fetched whole,
+//!   checked for read atomicity, and tracked in read/write sets with Fig 1
+//!   versions. Local conflicts are found by *Local Validation* —
+//!   re-reading local record versions — after all Acks arrive. At commit
+//!   the software passes its local record addresses to the NIC, which
+//!   builds the equivalent of local read/write filters and locks the
+//!   directory with them. Updates applied at a node bump the record
+//!   version, which is what lets other local transactions' validation
+//!   discover L–R conflicts.
 
 use crate::runtime::{
     apply_write, owner_token, resolve, Cluster, Measurement, MigrationAction, ResolvedOp,
@@ -28,9 +40,123 @@ use hades_sim::engine::EventQueue;
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
+use hades_storage::record::RecordId;
 use hades_telemetry::event::{EventKind, Phase as TracePhase, RecoveryKind, Verb, NO_SLOT};
 use hades_telemetry::profile::ProfPhase;
 use std::collections::HashSet;
+
+/// How an engine tracks its transactions' local accesses. Fixed when the
+/// engine is built: `Protocol::Hades` runs [`Hardware`](Self::Hardware),
+/// `Protocol::HadesH` runs [`Software`](Self::Software).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalPath {
+    /// Module 1–3 filters and `WrTX_ID` tags (HADES).
+    Hardware,
+    /// Versioned software read/write sets and Local Validation (HADES-H).
+    Software,
+}
+
+/// Hardware local-path state of one transaction (Modules 1–3).
+#[derive(Debug)]
+struct HwSets {
+    /// Module 3: this transaction's local filters (real bit vectors).
+    read_bf: BloomFilter,
+    write_bf: DualWriteFilter,
+    exact_reads: HashSet<u64>,
+    exact_writes: HashSet<u64>,
+    /// Module 1 filter bits: lines already recorded this transaction.
+    recorded: HashSet<u64>,
+}
+
+/// Software local-path state of one transaction.
+#[derive(Debug, Default)]
+struct SwSets {
+    /// Read set over *local* records: (rid, version at read).
+    reads: Vec<(RecordId, u64)>,
+    /// Write set over *local* records: (rid, version at fetch).
+    writes: Vec<(RecordId, u64)>,
+}
+
+/// Per-slot local-access tracking, one variant per [`LocalPath`].
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // all slots of an engine share a variant
+enum LocalSets {
+    Hardware(HwSets),
+    Software(SwSets),
+}
+
+impl LocalSets {
+    fn clear(&mut self) {
+        match self {
+            LocalSets::Hardware(h) => {
+                h.read_bf.clear();
+                h.write_bf.clear();
+                h.exact_reads.clear();
+                h.exact_writes.clear();
+                h.recorded.clear();
+            }
+            LocalSets::Software(s) => {
+                s.reads.clear();
+                s.writes.clear();
+            }
+        }
+    }
+
+    fn hw(&self) -> &HwSets {
+        match self {
+            LocalSets::Hardware(h) => h,
+            LocalSets::Software(_) => unreachable!("hardware state on the software path"),
+        }
+    }
+
+    fn hw_mut(&mut self) -> &mut HwSets {
+        match self {
+            LocalSets::Hardware(h) => h,
+            LocalSets::Software(_) => unreachable!("hardware state on the software path"),
+        }
+    }
+
+    fn sw(&self) -> &SwSets {
+        match self {
+            LocalSets::Software(s) => s,
+            LocalSets::Hardware(_) => unreachable!("software state on the hardware path"),
+        }
+    }
+
+    fn sw_mut(&mut self) -> &mut SwSets {
+        match self {
+            LocalSets::Software(s) => s,
+            LocalSets::Hardware(_) => unreachable!("software state on the hardware path"),
+        }
+    }
+
+    /// Whether committing `writes`/`reads` conflicts with this slot's
+    /// exact local line sets (writes vs read∪write, reads vs write). The
+    /// software path keeps no line sets: its transactions find such
+    /// conflicts at their own Local Validation.
+    fn conflicts_with(&self, writes: &[u64], reads: &[u64]) -> bool {
+        match self {
+            LocalSets::Hardware(h) => {
+                writes
+                    .iter()
+                    .any(|l| h.exact_reads.contains(l) || h.exact_writes.contains(l))
+                    || reads.iter().any(|l| h.exact_writes.contains(l))
+            }
+            LocalSets::Software(_) => false,
+        }
+    }
+}
+
+/// A commit's local footprint, as the local Locking Buffer takes it.
+struct LocalLock {
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+    /// (read, write) signatures to install; `None` skips the lock attempt
+    /// as if the bank were full.
+    sigs: Option<(Signature, Signature)>,
+    /// Core time to gather, lock and probe the footprint.
+    cost: Cycles,
+}
 
 #[derive(Debug)]
 struct Slot {
@@ -45,18 +171,13 @@ struct Slot {
     exec_end: Cycles,
     stage: usize,
     outstanding: u32,
-    // Module 3: this transaction's local filters (real bit vectors).
-    read_bf: BloomFilter,
-    write_bf: DualWriteFilter,
-    exact_reads: HashSet<u64>,
-    exact_writes: HashSet<u64>,
-    /// Module 1 filter bits: lines already recorded this transaction.
-    recorded: HashSet<u64>,
+    /// Local-access tracking of the engine's [`LocalPath`].
+    local: LocalSets,
     /// Remote lines already fetched and reusable locally.
     fetched: HashSet<u64>,
     /// Module 4b: remote writes grouped by home node + involved nodes.
     remote: hades_net::nic::TxRemoteTable,
-    committing: bool,
+    /// Commit Acks still awaited (nonzero only mid handshake).
     acks_outstanding: u32,
     /// Ack sequence ids already counted for this commit (duplicate
     /// deliveries under fault injection are ignored).
@@ -222,7 +343,7 @@ enum Ev {
     MigrationTick,
 }
 
-/// The HADES protocol simulator.
+/// The HADES protocol simulator, on either [`LocalPath`].
 ///
 /// # Examples
 ///
@@ -242,6 +363,7 @@ enum Ev {
 /// ```
 #[derive(Debug)]
 pub struct HadesSim {
+    path: LocalPath,
     cl: Cluster,
     q: EventQueue<Ev>,
     ws: WorkloadSet,
@@ -275,7 +397,18 @@ pub struct HadesSim {
 impl HadesSim {
     /// Builds a HADES run: `warmup` commits discarded, `measure` commits
     /// recorded.
-    pub fn new(mut cl: Cluster, ws: WorkloadSet, warmup: u64, measure: u64) -> Self {
+    pub fn new(cl: Cluster, ws: WorkloadSet, warmup: u64, measure: u64) -> Self {
+        Self::with_path(LocalPath::Hardware, cl, ws, warmup, measure)
+    }
+
+    /// Builds a run whose local accesses take `path`.
+    pub(crate) fn with_path(
+        path: LocalPath,
+        mut cl: Cluster,
+        ws: WorkloadSet,
+        warmup: u64,
+        measure: u64,
+    ) -> Self {
         let shape = cl.cfg.shape;
         let spn = shape.slots_per_node();
         let m = shape.slots_per_core;
@@ -297,18 +430,22 @@ impl HadesSim {
                     exec_end: Cycles::ZERO,
                     stage: 0,
                     outstanding: 0,
-                    read_bf: BloomFilter::new(bloom.core_read_bits, bloom.hashes),
-                    write_bf: DualWriteFilter::new(
-                        bloom.core_write_bf1_bits,
-                        bloom.core_write_bf2_bits,
-                        llc_sets,
-                    ),
-                    exact_reads: HashSet::new(),
-                    exact_writes: HashSet::new(),
-                    recorded: HashSet::new(),
+                    local: match path {
+                        LocalPath::Hardware => LocalSets::Hardware(HwSets {
+                            read_bf: BloomFilter::new(bloom.core_read_bits, bloom.hashes),
+                            write_bf: DualWriteFilter::new(
+                                bloom.core_write_bf1_bits,
+                                bloom.core_write_bf2_bits,
+                                llc_sets,
+                            ),
+                            exact_reads: HashSet::new(),
+                            exact_writes: HashSet::new(),
+                            recorded: HashSet::new(),
+                        }),
+                        LocalPath::Software => LocalSets::Software(SwSets::default()),
+                    },
                     fetched: HashSet::new(),
                     remote: hades_net::nic::TxRemoteTable::new(),
-                    committing: false,
                     acks_outstanding: 0,
                     acks_seen: Vec::new(),
                     commit_start: Cycles::ZERO,
@@ -328,6 +465,7 @@ impl HadesSim {
         let locality = cl.cfg.local_fraction;
         let nodes = shape.nodes;
         HadesSim {
+            path,
             cl,
             q: EventQueue::new(),
             ws,
@@ -419,11 +557,21 @@ impl HadesSim {
     /// Runs to completion, returning statistics plus final cluster state
     /// and the whole-run ledger.
     pub fn run_full(mut self) -> RunOutcome {
+        let stagger = match self.path {
+            LocalPath::Hardware => 41,
+            LocalPath::Software => 43,
+        };
         for si in 0..self.slots.len() {
             self.q
-                .push_at(Cycles::new(si as u64 * 41), Ev::Start { si });
+                .push_at(Cycles::new(si as u64 * stagger), Ev::Start { si });
         }
-        if let Some(interval) = self.cl.cfg.context_switch_interval {
+        // Context switches only clear Module 1 bits, which the software
+        // path does not have.
+        let switches = match self.path {
+            LocalPath::Hardware => self.cl.cfg.context_switch_interval,
+            LocalPath::Software => None,
+        };
+        if let Some(interval) = switches {
             let shape = self.cl.cfg.shape;
             for n in 0..shape.nodes {
                 for c in 0..shape.cores_per_node {
@@ -545,39 +693,21 @@ impl HadesSim {
             .count()
     }
 
-    /// Software validation for a degraded local commit: the committing
-    /// slot's exact line lists against every other active slot on the
-    /// same node (writes vs read∪write, reads vs write). Exact sets, so
-    /// no false positives.
-    fn local_exact_validate(&self, si: usize, write_lines: &[u64], read_lines: &[u64]) -> bool {
-        let node = self.slots[si].node;
-        self.slots.iter().enumerate().all(|(j, s)| {
-            j == si
-                || s.node != node
-                || s.txn.is_none()
-                || (write_lines
-                    .iter()
-                    .all(|l| !s.exact_reads.contains(l) && !s.exact_writes.contains(l))
-                    && read_lines.iter().all(|l| !s.exact_writes.contains(l)))
-        })
-    }
-
-    /// Participant-side variant of [`Self::local_exact_validate`]: the
-    /// committer is remote, so every slot of node `nb` is checked.
-    fn local_exact_validate_node(
+    /// Software validation for a degraded commit: the committed exact
+    /// line lists against every active slot of node `nb` but `except`
+    /// (writes vs read∪write, reads vs write). Exact sets, so no false
+    /// positives.
+    fn local_exact_validate(
         &self,
         nb: usize,
+        except: Option<usize>,
         write_lines: &[u64],
         read_lines: &[u64],
     ) -> bool {
         let spn = self.cl.cfg.shape.slots_per_node();
-        (0..spn).all(|other| {
-            let s = &self.slots[nb * spn + other];
-            s.txn.is_none()
-                || (write_lines
-                    .iter()
-                    .all(|l| !s.exact_reads.contains(l) && !s.exact_writes.contains(l))
-                    && read_lines.iter().all(|l| !s.exact_writes.contains(l)))
+        (nb * spn..(nb + 1) * spn).all(|j| {
+            let s = &self.slots[j];
+            Some(j) == except || s.txn.is_none() || !s.local.conflicts_with(write_lines, read_lines)
         })
     }
 
@@ -647,7 +777,7 @@ impl HadesSim {
             }
             Ev::CommitTimeout { si, att } if self.alive(si, att) => {
                 let s = &self.slots[si];
-                if s.committing && s.acks_outstanding > 0 && !s.unsquashable {
+                if s.acks_outstanding > 0 && !s.unsquashable {
                     self.squash(si, SquashReason::CommitTimeout);
                 }
             }
@@ -659,7 +789,7 @@ impl HadesSim {
             Ev::MembershipTick => self.on_membership_tick(),
             Ev::FetchTimeout { si, att, stage } if self.alive(si, att) => {
                 let s = &self.slots[si];
-                if s.stage == stage && s.outstanding > 0 && !s.committing && !s.unsquashable {
+                if s.stage == stage && s.outstanding > 0 && !s.unsquashable {
                     self.squash(si, SquashReason::CommitTimeout);
                 }
             }
@@ -699,7 +829,7 @@ impl HadesSim {
                         exclude.push(self.key_of(si));
                         continue;
                     }
-                    if !s.committing {
+                    if s.acks_outstanding == 0 {
                         continue;
                     }
                     let touches = s
@@ -793,14 +923,9 @@ impl HadesSim {
             s.fallback = s.consec_squashes >= retry_limit;
             s.stage = 0;
             s.outstanding = 0;
-            s.read_bf.clear();
-            s.write_bf.clear();
-            s.exact_reads.clear();
-            s.exact_writes.clear();
-            s.recorded.clear();
+            s.local.clear();
             s.fetched.clear();
             s.remote.clear();
-            s.committing = false;
             s.acks_outstanding = 0;
             s.acks_seen.clear();
             s.commit_failed = false;
@@ -917,25 +1042,38 @@ impl HadesSim {
         }
     }
 
-    /// Eager L–L detection and local tracking (Table II, Local Read/Write).
-    fn on_local_op(&mut self, si: usize, att: u32, op: ResolvedOp) {
-        let now = self.q.now();
-        let (node, core) = (self.slots[si].node, self.slots[si].core);
-        let me = self.slots[si].slot;
-        let token = self.token(si);
-        let bloom = self.cl.cfg.bloom;
-        // Locking Buffers: a committing transaction may block this access;
-        // retry until it unlocks (Fig 7).
-        let nb = node.0 as usize;
-        let blocked_by = op
-            .read_lines
+    /// The owner of a Locking Buffer at node `nb` that stalls `op`'s exact
+    /// lines for the transaction `token` (Fig 7), if any.
+    fn line_blocker(&self, nb: usize, token: u64, op: &ResolvedOp) -> Option<u64> {
+        let bufs = &self.cl.lock_bufs[nb];
+        op.read_lines
             .iter()
-            .find_map(|&l| self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token))
+            .find_map(|&l| bufs.blocks_read(l).filter(|&o| o != token))
             .or_else(|| {
                 op.write_lines
                     .iter()
-                    .find_map(|&l| self.cl.lock_bufs[nb].blocks_write_excluding(l, token))
-            });
+                    .find_map(|&l| bufs.blocks_write_excluding(l, token))
+            })
+    }
+
+    /// A local access (Table II, Local Read/Write). Locking Buffers of
+    /// committing transactions stall it on both paths; retry until they
+    /// unlock (Fig 7).
+    fn on_local_op(&mut self, si: usize, att: u32, op: ResolvedOp) {
+        let now = self.q.now();
+        let nb = self.slots[si].node.0 as usize;
+        let token = self.token(si);
+        let blocked_by = match self.path {
+            LocalPath::Hardware => self.line_blocker(nb, token, &op),
+            // Software fetches whole records.
+            LocalPath::Software => op.record_lines.iter().find_map(|&l| {
+                if op.is_write() {
+                    self.cl.lock_bufs[nb].blocks_write_excluding(l, token)
+                } else {
+                    self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token)
+                }
+            }),
+        };
         if let Some(holder) = blocked_by {
             if self.cl.tracer.is_enabled() {
                 self.trace(now, si, EventKind::LockStall { holder });
@@ -944,6 +1082,20 @@ impl HadesSim {
             self.q.push_at(now + retry, Ev::LocalOp { si, att, op });
             return;
         }
+        match self.path {
+            LocalPath::Hardware => self.local_op_hw(si, att, op, now),
+            LocalPath::Software => self.local_op_sw(si, att, op, now),
+        }
+    }
+
+    /// Hardware local path: eager L–L detection against the `WrTX_ID`
+    /// tags and the other local transactions' read filters, then tracking
+    /// in Modules 1–3.
+    fn local_op_hw(&mut self, si: usize, att: u32, op: ResolvedOp, now: Cycles) {
+        let (node, core) = (self.slots[si].node, self.slots[si].core);
+        let me = self.slots[si].slot;
+        let bloom = self.cl.cfg.bloom;
+        let nb = node.0 as usize;
         // Eager checks against the directory WrTX_ID tags.
         let lines: Vec<u64> = op
             .read_lines
@@ -969,15 +1121,12 @@ impl HadesSim {
                     continue;
                 }
                 self.local_probes += 1;
-                let hit = op
-                    .write_lines
-                    .iter()
-                    .any(|&l| self.slots[osi].read_bf.contains(l));
-                if hit {
+                let other = self.slots[osi].local.hw();
+                if op.write_lines.iter().any(|&l| other.read_bf.contains(l)) {
                     let real = op
                         .write_lines
                         .iter()
-                        .any(|&l| self.slots[osi].exact_reads.contains(&l));
+                        .any(|&l| other.exact_reads.contains(&l));
                     if !real {
                         self.local_fps += 1;
                     }
@@ -990,29 +1139,30 @@ impl HadesSim {
         // directory (LLC RT); repeats are filtered by the Module 1 bits.
         let mut cost = Cycles::ZERO;
         let mut victims: Vec<SlotId> = Vec::new();
+        let h = self.slots[si].local.hw_mut();
         for &line in &op.read_lines {
-            if self.slots[si].recorded.contains(&line) {
+            if h.recorded.contains(&line) {
                 cost += self.cl.cfg.mem.l1_rt;
                 continue;
             }
             let (lat, ev) = self.cl.access_lines(node, core, &[line]);
             cost += lat.max(self.cl.cfg.mem.llc_rt) + bloom.bf_op;
             victims.extend(ev);
-            self.slots[si].read_bf.insert(line);
-            self.slots[si].exact_reads.insert(line);
-            self.slots[si].recorded.insert(line);
+            h.read_bf.insert(line);
+            h.exact_reads.insert(line);
+            h.recorded.insert(line);
         }
         for &line in &op.write_lines {
-            if self.slots[si].exact_writes.contains(&line) {
+            if h.exact_writes.contains(&line) {
                 cost += self.cl.cfg.mem.l1_rt;
                 continue;
             }
             let evs = self.cl.mems[nb].tag_write(line, me);
             victims.extend(evs);
             cost += self.cl.cfg.mem.llc_rt + bloom.bf_op + bloom.crc;
-            self.slots[si].write_bf.insert(line);
-            self.slots[si].exact_writes.insert(line);
-            self.slots[si].recorded.insert(line);
+            h.write_bf.insert(line);
+            h.exact_writes.insert(line);
+            h.recorded.insert(line);
         }
         for v in victims {
             let vsi = self.si_of(node, v);
@@ -1024,6 +1174,35 @@ impl HadesSim {
             return; // the eviction cascade squashed us
         }
         let done = self.cl.run_on_core(node, core, now, cost);
+        self.q.push_at(done, Ev::OpDone { si, att });
+    }
+
+    /// Software local path: fetch the whole record, check atomicity, track
+    /// in read/write sets with versions — exactly like the baseline.
+    fn local_op_sw(&mut self, si: usize, att: u32, op: ResolvedOp, now: Cycles) {
+        let (node, core) = (self.slots[si].node, self.slots[si].core);
+        let sw = self.cl.cfg.sw;
+        let (mem_lat, _evicted) = self.cl.access_lines(node, core, &op.record_lines);
+        let nlines = op.record_lines.len() as u64;
+        let atomicity = (sw.atomicity_check_per_line + sw.atomicity_copy_per_line) * nlines;
+        let set_cost = if op.is_write() {
+            sw.wset_insert + sw.set_copy_per_line * nlines
+        } else {
+            sw.rset_insert
+        };
+        let v = self.cl.db.record(op.rid).version();
+        let sets = self.slots[si].local.sw_mut();
+        let set = if op.is_write() {
+            &mut sets.writes
+        } else {
+            &mut sets.reads
+        };
+        if !set.iter().any(|(r, _)| *r == op.rid) {
+            set.push((op.rid, v));
+        }
+        let done = self
+            .cl
+            .run_on_core(node, core, now, mem_lat + atomicity + set_cost);
         self.q.push_at(done, Ev::OpDone { si, att });
     }
 
@@ -1052,18 +1231,9 @@ impl HadesSim {
             origin,
             slot: self.slots[si].slot,
         };
-        let token = owner_token(key.origin, key.slot);
         // Committing transactions' Locking Buffers stall this access.
-        let blocked_by = op
-            .read_lines
-            .iter()
-            .find_map(|&l| self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token))
-            .or_else(|| {
-                op.write_lines
-                    .iter()
-                    .find_map(|&l| self.cl.lock_bufs[nb].blocks_write_excluding(l, token))
-            });
-        if let Some(holder) = blocked_by {
+        let token = owner_token(key.origin, key.slot);
+        if let Some(holder) = self.line_blocker(nb, token, &op) {
             self.cl
                 .tracer
                 .emit(now, home.0, NO_SLOT, EventKind::LockStall { holder });
@@ -1164,7 +1334,6 @@ impl HadesSim {
             return;
         }
         self.slots[si].exec_end = now;
-        self.slots[si].committing = true;
         self.cl.obs_enter(si, ProfPhase::Lock, now);
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseEnd(TracePhase::Exec));
@@ -1173,49 +1342,37 @@ impl HadesSim {
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let nb = node.0 as usize;
         let token = self.token(si);
-        let me = self.slots[si].slot;
-        let bloom = self.cl.cfg.bloom;
         if self.slots[si].fallback {
             // Locks were taken up front; jump straight to the finish.
             self.finish_commit(si, att, now);
             return;
         }
-        // Step 1: partially lock the local directory. A saturated read
-        // filter makes the hardware check uninformative (its FP rate
-        // explodes), so with the overload layer on we go straight to the
-        // software path instead of installing a useless signature.
-        let degrade = self.cl.cfg.overload.degrade_on_saturation;
-        let bf_saturated = degrade
-            && self.slots[si].read_bf.occupancy() >= self.cl.cfg.overload.bf_occupancy_threshold;
-        let write_lines = self.cl.mems[nb].lines_tagged(me);
-        let mut read_lines: Vec<u64> = self.slots[si].exact_reads.iter().copied().collect();
-        read_lines.sort_unstable();
-        let lock_cost = self.cl.find_tags_latency() + bloom.lock_buffer_load;
-        let lock_result = if bf_saturated {
-            Err(LockFailure::NoFreeBuffer)
-        } else {
-            self.cl.lock_bufs[nb].try_lock_at(
-                now,
-                token,
-                Signature::Conventional(self.slots[si].read_bf.clone()),
-                Signature::Dual(self.slots[si].write_bf.clone()),
-                &write_lines,
-                &read_lines,
-            )
+        // Step 1: partially lock the local directory.
+        let fp = match self.path {
+            LocalPath::Hardware => self.local_lock_hw(si),
+            LocalPath::Software => self.local_lock_sw(si),
+        };
+        let lock_result = match fp.sigs {
+            None => Err(LockFailure::NoFreeBuffer),
+            Some((rd, wr)) => {
+                self.cl.lock_bufs[nb].try_lock_at(now, token, rd, wr, &fp.writes, &fp.reads)
+            }
         };
         match lock_result {
             Ok(()) => self.slots[si].holds_local_lock = true,
-            Err(LockFailure::NoFreeBuffer) if degrade => {
-                // Saturation fallback (HADES-H-style): validate the exact
-                // sets in software against every concurrent transaction —
-                // local slots and remote transactions at our NIC — and
-                // commit without holding a buffer if clean.
-                let sw_ok = self.local_exact_validate(si, &write_lines, &read_lines)
-                    && self.cl.nics[nb].exact_validate(
-                        &write_lines,
-                        &read_lines,
-                        Some(self.key_of(si)),
-                    );
+            Err(LockFailure::NoFreeBuffer) if self.cl.cfg.overload.degrade_on_saturation => {
+                // Saturation fallback: commit without holding a buffer if
+                // the exact sets validate in software against every
+                // concurrent transaction — local slots and remote
+                // transactions at our NIC. The software path validates its
+                // local footprint at Local Validation (Section V-D) anyway.
+                let sw_ok = self.path == LocalPath::Software
+                    || (self.local_exact_validate(nb, Some(si), &fp.writes, &fp.reads)
+                        && self.cl.nics[nb].exact_validate(
+                            &fp.writes,
+                            &fp.reads,
+                            Some(self.key_of(si)),
+                        ));
                 if !sw_ok {
                     self.squash(si, SquashReason::ValidationFailed);
                     return;
@@ -1228,7 +1385,7 @@ impl HadesSim {
                 }
                 self.cl.obs_degrade(now);
             }
-            Err(LockFailure::Conflict(_)) | Err(LockFailure::NoFreeBuffer) => {
+            Err(_) => {
                 self.squash(si, SquashReason::LockFailed);
                 return;
             }
@@ -1236,9 +1393,8 @@ impl HadesSim {
         // Step 2: detect conflicts between our local writes and remote
         // transactions registered at our NIC; squash them.
         let exclude = Some(self.key_of(si));
-        let conflicts = self.cl.nics[nb].probe_writes_against(now, &write_lines, exclude);
-        let step2 = bloom.bf_op * write_lines.len().max(1) as u64;
-        let mut cursor = self.cl.run_on_core(node, core, now, lock_cost + step2);
+        let conflicts = self.cl.nics[nb].probe_writes_against(now, &fp.writes, exclude);
+        let mut cursor = self.cl.run_on_core(node, core, now, fp.cost);
         for c in conflicts {
             self.poison_and_squash_remote(node, c.with, cursor);
         }
@@ -1295,7 +1451,7 @@ impl HadesSim {
         }
         self.slots[si].replica_targets = repl_remote.clone();
         if intend_targets.is_empty() && repl_remote.is_empty() {
-            self.finish_commit(si, att, cursor);
+            self.decide(si, att, cursor);
             return;
         }
         self.slots[si].acks_outstanding = (intend_targets.len() + repl_remote.len()) as u32;
@@ -1367,6 +1523,98 @@ impl HadesSim {
             let deadline = cursor + self.cl.cfg.repl.ack_timeout;
             self.q.push_at(deadline, Ev::CommitTimeout { si, att });
         }
+    }
+
+    /// The hardware local footprint: the `WrTX_ID`-tagged lines and the
+    /// Module 3 filters.
+    fn local_lock_hw(&mut self, si: usize) -> LocalLock {
+        let nb = self.slots[si].node.0 as usize;
+        let me = self.slots[si].slot;
+        let bloom = self.cl.cfg.bloom;
+        let overload = &self.cl.cfg.overload;
+        let h = self.slots[si].local.hw();
+        // A saturated read filter makes the hardware check uninformative
+        // (its FP rate explodes), so with the overload layer on we go
+        // straight to the software path instead of installing a useless
+        // signature.
+        let saturated = overload.degrade_on_saturation
+            && h.read_bf.occupancy() >= overload.bf_occupancy_threshold;
+        let sigs = (!saturated).then(|| {
+            (
+                Signature::Conventional(h.read_bf.clone()),
+                Signature::Dual(h.write_bf.clone()),
+            )
+        });
+        let writes = self.cl.mems[nb].lines_tagged(me);
+        let mut reads: Vec<u64> = h.exact_reads.iter().copied().collect();
+        reads.sort_unstable();
+        // Find-LLC-Tags, the buffer load, then one NIC probe per write.
+        let cost = self.cl.find_tags_latency()
+            + bloom.lock_buffer_load
+            + bloom.bf_op * writes.len().max(1) as u64;
+        LocalLock {
+            reads,
+            writes,
+            sigs,
+            cost,
+        }
+    }
+
+    /// The software local footprint: software passes its local record
+    /// addresses to the NIC (per-record cost), which builds the
+    /// equivalent LocalRead/WriteBFs.
+    fn local_lock_sw(&mut self, si: usize) -> LocalLock {
+        let (reads, writes) = self.footprint_at(si, self.slots[si].node);
+        let bloom = self.cl.cfg.bloom;
+        let sets = self.slots[si].local.sw();
+        let n_local = sets.reads.len() + sets.writes.len();
+        let pass_cost = self.cl.cfg.sw.rdma_issue + Cycles::new(10) * n_local as u64;
+        let build_cost = bloom.bf_op * (reads.len() + writes.len()).max(1) as u64;
+        let (rd, wr) = self.nic_filters(&reads, &writes);
+        LocalLock {
+            reads,
+            writes,
+            sigs: Some((Signature::Conventional(rd), Signature::Conventional(wr))),
+            cost: pass_cost + build_cost + bloom.lock_buffer_load,
+        }
+    }
+
+    /// The lines of `si`'s ops homed at `home`, split (reads, writes),
+    /// sorted and deduplicated: exact lines on the hardware path, whole
+    /// records on the software path.
+    fn footprint_at(&self, si: usize, home: NodeId) -> (Vec<u64>, Vec<u64>) {
+        let txn = self.slots[si].txn.as_ref().expect("txn active");
+        let mut reads: Vec<u64> = Vec::new();
+        let mut writes: Vec<u64> = Vec::new();
+        for op in txn.ops().filter(|o| o.home == home) {
+            match self.path {
+                LocalPath::Hardware => {
+                    reads.extend(&op.read_lines);
+                    writes.extend(&op.write_lines);
+                }
+                LocalPath::Software if op.is_write() => writes.extend(&op.record_lines),
+                LocalPath::Software => reads.extend(&op.record_lines),
+            }
+        }
+        reads.sort_unstable();
+        reads.dedup();
+        writes.sort_unstable();
+        writes.dedup();
+        (reads, writes)
+    }
+
+    /// NIC-sized (read, write) Bloom filters over `reads` and `writes`.
+    fn nic_filters(&self, reads: &[u64], writes: &[u64]) -> (BloomFilter, BloomFilter) {
+        let bloom = self.cl.cfg.bloom;
+        let mut rd = BloomFilter::new(bloom.nic_read_bits, bloom.hashes);
+        let mut wr = BloomFilter::new(bloom.nic_write_bits, bloom.hashes);
+        for &l in reads {
+            rd.insert(l);
+        }
+        for &l in writes {
+            wr.insert(l);
+        }
+        (rd, wr)
     }
 
     /// Replica prepare at a replica node: persist to temporary durable
@@ -1509,7 +1757,7 @@ impl HadesSim {
             let degraded_ok = self.cl.cfg.overload.degrade_on_saturation
                 && fail == LockFailure::NoFreeBuffer
                 && self.cl.nics[nb].exact_validate(&write_lines, &read_lines, Some(key))
-                && self.local_exact_validate_node(nb, &write_lines, &read_lines);
+                && self.local_exact_validate(nb, None, &write_lines, &read_lines);
             if !degraded_ok {
                 self.send_ack(now, node, origin, si, att, false, ack_id);
                 return;
@@ -1531,29 +1779,37 @@ impl HadesSim {
             self.q.push_at(now + lease, Ev::LeaseExpire { node, key });
         }
         // Step 2: conflicts between our writes and (i) other remote
-        // transactions at y, (ii) local transactions of y.
+        // transactions at y, (ii) on the hardware path, local transactions
+        // of y. Software-path local transactions discover the conflict at
+        // their own Local Validation instead (Section V-D).
         let mut svc = bloom.lock_buffer_load + bloom.bf_op * write_lines.len().max(1) as u64;
         let conflicts = self.cl.nics[nb].probe_writes_against(now, &write_lines, Some(key));
         for c in conflicts {
             self.poison_and_squash_remote(node, c.with, now);
         }
+        if self.path == LocalPath::Hardware {
+            svc += self.squash_local_conflicts(nb, origin, &write_lines);
+        }
+        // Step 3: Ack (loss-eligible: a dropped Ack aborts via timeout).
+        self.send_ack(now + svc, node, origin, si, att, true, ack_id);
+    }
+
+    /// Squashes the local transactions of node `nb` whose Module 3 filters
+    /// hit a remote committer's `write_lines`; returns the probe time.
+    fn squash_local_conflicts(&mut self, nb: usize, origin: NodeId, write_lines: &[u64]) -> Cycles {
         let spn = self.cl.cfg.shape.slots_per_node();
         let mut local_victims: Vec<usize> = Vec::new();
-        for other in 0..spn {
-            let osi = nb * spn + other;
+        for osi in nb * spn..(nb + 1) * spn {
             if self.slots[osi].txn.is_none() || self.slots[osi].unsquashable {
                 continue;
             }
             self.local_probes += 1;
-            let hit = write_lines.iter().any(|&l| {
-                self.slots[osi].read_bf.contains(l) || self.slots[osi].write_bf.contains(l)
-            });
-            if hit {
-                let real = write_lines.iter().any(|&l| {
-                    self.slots[osi].exact_reads.contains(&l)
-                        || self.slots[osi].exact_writes.contains(&l)
-                });
-                if !real {
+            let h = self.slots[osi].local.hw();
+            if write_lines
+                .iter()
+                .any(|&l| h.read_bf.contains(l) || h.write_bf.contains(l))
+            {
+                if !self.slots[osi].local.conflicts_with(write_lines, &[]) {
                     self.local_fps += 1;
                 }
                 local_victims.push(osi);
@@ -1563,9 +1819,7 @@ impl HadesSim {
             self.cl.obs_abort_source(vsi, origin.0);
             self.squash(vsi, SquashReason::LazyConflict);
         }
-        svc += bloom.bf_op * spn as u64;
-        // Step 3: Ack (loss-eligible: a dropped Ack aborts via timeout).
-        self.send_ack(now + svc, node, origin, si, att, true, ack_id);
+        self.cl.cfg.bloom.bf_op * spn as u64
     }
 
     fn on_ack(&mut self, si: usize, att: u32, ok: bool, ack_id: u32) {
@@ -1598,8 +1852,51 @@ impl HadesSim {
                 return;
             }
         }
-        // All Acks received: past the point of no return (Table II).
-        self.finish_commit(si, att, now);
+        // All Acks received.
+        self.decide(si, att, now);
+    }
+
+    /// Every Ack is in: the hardware path is past the point of no return
+    /// (Table II); the software path must first pass Local Validation.
+    fn decide(&mut self, si: usize, att: u32, now: Cycles) {
+        match self.path {
+            LocalPath::Hardware => self.finish_commit(si, att, now),
+            LocalPath::Software => self.local_validation(si, att, now),
+        }
+    }
+
+    /// Local Validation: re-read every local record in the read and write
+    /// sets and compare versions (Section V-D).
+    fn local_validation(&mut self, si: usize, att: u32, now: Cycles) {
+        self.cl.obs_enter(si, ProfPhase::Validate, now);
+        if self.cl.tracer.is_enabled() {
+            self.trace(now, si, EventKind::PhaseBegin(TracePhase::Validate));
+        }
+        let (node, core) = (self.slots[si].node, self.slots[si].core);
+        let sw = self.cl.cfg.sw;
+        let sets = self.slots[si].local.sw();
+        let entries: Vec<(RecordId, u64)> =
+            sets.reads.iter().chain(&sets.writes).copied().collect();
+        let mut cost = Cycles::ZERO;
+        let mut ok = true;
+        for (rid, v) in entries {
+            cost += sw.validate_per_record;
+            let first_line = [self.cl.db.record(rid).lines().next().expect("record")];
+            let (lat, _) = self.cl.access_lines(node, core, &first_line);
+            cost += lat;
+            if self.cl.db.record(rid).version() != v {
+                ok = false;
+            }
+        }
+        let done = self.cl.run_on_core(node, core, now, cost);
+        if self.cl.tracer.is_enabled() {
+            self.trace(done, si, EventKind::PhaseEnd(TracePhase::Validate));
+        }
+        if !ok {
+            self.squash(si, SquashReason::ValidationFailed);
+            return;
+        }
+        self.finish_commit(si, att, done);
     }
 
     /// Steps 4–6 at the local node: clear speculative state, push
@@ -1619,16 +1916,21 @@ impl HadesSim {
         let token = self.token(si);
         let me = self.slots[si].slot;
         self.slots[si].unsquashable = true;
-        // Step 4: clear local WrTX_ID tags (data becomes architectural).
-        let _cleared = self.cl.mems[nb].commit_slot(me);
-        let cost = self.cl.find_tags_latency();
-        // Apply local writes to the database (no extra latency: the data
-        // already lives in the LLC). Partitions promoted onto this node
-        // count as local under the routed placement. Conversely, an op
-        // that was local at execute time stays local even if a planned
-        // cutover has since repointed its partition: the Validation
-        // fan-out below covers only the exec-time remote footprint, so
-        // it must be applied here.
+        let sw_path = self.path == LocalPath::Software;
+        let mut cost = Cycles::ZERO;
+        if !sw_path {
+            // Step 4: clear local WrTX_ID tags (data becomes architectural).
+            self.cl.mems[nb].commit_slot(me);
+            cost = self.cl.find_tags_latency();
+        }
+        // Apply local writes to the database: no extra latency on the
+        // hardware path (the data already lives in the LLC); the software
+        // path merges its write set record by record. Partitions promoted
+        // onto this node count as local under the routed placement.
+        // Conversely, an op that was local at execute time stays local
+        // even if a planned cutover has since repointed its partition: the
+        // Validation fan-out below covers only the exec-time remote
+        // footprint, so it must be applied here.
         let txn = self.slots[si].txn.as_ref().expect("txn active").clone();
         let remote_homes = self.slots[si].remote.nodes();
         let local_ops: Vec<ResolvedOp> = txn
@@ -1638,9 +1940,14 @@ impl HadesSim {
             })
             .cloned()
             .collect();
+        let mut bumped: Vec<RecordId> = Vec::new();
         for op in &local_ops {
-            apply_write(&mut self.cl.db, op);
-            self.cl.migration_note_write(now, op.home);
+            if sw_path {
+                let sw = self.cl.cfg.sw;
+                let (lat, _) = self.cl.access_lines(node, core, &op.write_lines);
+                cost += sw.wset_commit_per_record + sw.version_update + lat;
+            }
+            self.apply(op, now, &mut bumped);
         }
         // Step 5: Validation + updates to every involved node (one-way,
         // reliable transport: injected drops surface as retransmission
@@ -1708,15 +2015,28 @@ impl HadesSim {
         self.q.push_at(cursor, Ev::CommitDone { si, att });
     }
 
+    /// Applies `op`'s update at its home. On the software path the first
+    /// update of a record by a commit (`bumped` lists those so far) also
+    /// bumps its version, which is how the home's local transactions
+    /// discover the conflict at their Local Validation.
+    fn apply(&mut self, op: &ResolvedOp, now: Cycles, bumped: &mut Vec<RecordId>) {
+        apply_write(&mut self.cl.db, op);
+        self.cl.migration_note_write(now, op.home);
+        if self.path == LocalPath::Software && !bumped.contains(&op.rid) {
+            self.cl.db.record_mut(op.rid).bump_version();
+            bumped.push(op.rid);
+        }
+    }
+
     /// Validation at a remote node: push updates, clear NIC state, unlock
     /// (Table II, remote steps 4–5).
     fn on_validation_arrive(&mut self, node: NodeId, key: RemoteTxKey, ops: Vec<ResolvedOp>) {
         let nb = node.0 as usize;
         let now = self.q.now();
+        let mut bumped: Vec<RecordId> = Vec::new();
         for op in &ops {
             let (_lat, victims) = self.cl.access_lines_nic(node, &op.write_lines);
-            apply_write(&mut self.cl.db, op);
-            self.cl.migration_note_write(now, op.home);
+            self.apply(op, now, &mut bumped);
             for v in victims {
                 let vsi = self.si_of(node, v);
                 if self.slots[vsi].txn.is_some() && !self.slots[vsi].unsquashable {
@@ -1763,6 +2083,7 @@ impl HadesSim {
         let nb = node.0 as usize;
         let me = self.slots[si].slot;
         let token = self.token(si);
+        // Discard the WrTX_ID-tagged lines (none on the software path).
         self.cl.mems[nb].squash_slot(me);
         if self.slots[si].holds_local_lock {
             self.cl.lock_bufs[nb].unlock(token);
@@ -1797,14 +2118,9 @@ impl HadesSim {
             self.meas.stats.note_squash(node.0, reason);
         }
         let s = &mut self.slots[si];
-        s.read_bf.clear();
-        s.write_bf.clear();
-        s.exact_reads.clear();
-        s.exact_writes.clear();
-        s.recorded.clear();
+        s.local.clear();
         s.fetched.clear();
         s.remote.clear();
-        s.committing = false;
         s.acks_outstanding = 0;
         s.commit_failed = false;
         s.holds_local_lock = false;
@@ -1916,7 +2232,7 @@ impl HadesSim {
             let slot = core.0 as usize * m + s;
             if slot < spn {
                 let si = node.0 as usize * spn + slot;
-                self.slots[si].recorded.clear();
+                self.slots[si].local.hw_mut().recorded.clear();
             }
         }
         // OS switch cost on the core.
@@ -1943,25 +2259,8 @@ impl HadesSim {
         let token = self.token(si);
         let bloom = self.cl.cfg.bloom;
         // Build the transaction's footprint filters at `target`.
-        let txn = self.slots[si].txn.as_ref().expect("txn active");
-        let mut reads: Vec<u64> = Vec::new();
-        let mut writes: Vec<u64> = Vec::new();
-        for op in txn.ops().filter(|o| o.home == target) {
-            reads.extend(&op.read_lines);
-            writes.extend(&op.write_lines);
-        }
-        reads.sort_unstable();
-        reads.dedup();
-        writes.sort_unstable();
-        writes.dedup();
-        let mut rd = BloomFilter::new(bloom.nic_read_bits, bloom.hashes);
-        let mut wr = BloomFilter::new(bloom.nic_write_bits, bloom.hashes);
-        for &l in &reads {
-            rd.insert(l);
-        }
-        for &l in &writes {
-            wr.insert(l);
-        }
+        let (reads, writes) = self.footprint_at(si, target);
+        let (rd, wr) = self.nic_filters(&reads, &writes);
         // Lock attempt happens at the target's current primary; remote
         // targets pay a round trip.
         let phys = self.cl.route(target);
@@ -2065,14 +2364,9 @@ impl HadesSim {
             s.fallback = false;
             s.stage = 0;
             s.outstanding = 0;
-            s.read_bf.clear();
-            s.write_bf.clear();
-            s.exact_reads.clear();
-            s.exact_writes.clear();
-            s.recorded.clear();
+            s.local.clear();
             s.fetched.clear();
             s.remote.clear();
-            s.committing = false;
             s.acks_outstanding = 0;
             s.acks_seen.clear();
             s.commit_failed = false;
@@ -2258,25 +2552,80 @@ impl HadesSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_fault::FaultPlan;
     use hades_sim::config::SimConfig;
     use hades_storage::db::Database;
+    use hades_storage::TableId;
     use hades_workloads::catalog::AppId;
     use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
 
-    fn run_app(app_name: &str, warmup: u64, measure: u64) -> RunOutcome {
+    const PATHS: [LocalPath; 2] = [LocalPath::Hardware, LocalPath::Software];
+
+    fn run_app(path: LocalPath, app_name: &str, warmup: u64, measure: u64) -> RunOutcome {
         let cfg = SimConfig::isca_default();
         let mut db = Database::new(cfg.shape.nodes);
         let app = AppId::parse(app_name).unwrap().build(&mut db, 0.005);
         let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        HadesSim::new(Cluster::new(cfg, db), ws, warmup, measure).run_full()
+        HadesSim::with_path(path, Cluster::new(cfg, db), ws, warmup, measure).run_full()
+    }
+
+    /// A Smallbank cluster's money: checking plus savings over all
+    /// accounts.
+    struct Ledger {
+        tables: [TableId; 2],
+        accounts: u64,
+    }
+
+    impl Ledger {
+        fn assert_conserved(&self, out: &RunOutcome, what: &str) {
+            let db = &out.cluster.db;
+            let mut total = 0u64;
+            for t in self.tables {
+                for a in 0..self.accounts {
+                    let rid = db.lookup(t, a).unwrap().rid;
+                    total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
+                }
+            }
+            let initial = 2 * self.accounts * INITIAL_BALANCE;
+            assert_eq!(
+                total,
+                initial.wrapping_add(out.total_sum_delta as u64),
+                "{what}: money not conserved: commits={}, squashes={}",
+                out.total_commits,
+                out.stats.squashes
+            );
+        }
+    }
+
+    fn smallbank(
+        cfg: SimConfig,
+        accounts: u64,
+        hotspot: (u64, f64),
+    ) -> (Cluster, WorkloadSet, Ledger) {
+        let mut db = Database::new(cfg.shape.nodes);
+        let sb = Smallbank::setup(
+            &mut db,
+            SmallbankConfig {
+                accounts,
+                hotspot: Some(hotspot),
+            },
+        );
+        let ledger = Ledger {
+            tables: [sb.checking(), sb.savings()],
+            accounts,
+        };
+        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
+        (Cluster::new(cfg, db), ws, ledger)
     }
 
     #[test]
     fn commits_and_measures() {
-        let out = run_app("HT-wA", 50, 300);
-        assert_eq!(out.stats.committed, 300);
-        assert!(out.stats.throughput() > 0.0);
-        assert!(out.stats.mean_latency() > Cycles::ZERO);
+        for path in PATHS {
+            let out = run_app(path, "HT-wA", 50, 300);
+            assert_eq!(out.stats.committed, 300, "{path:?}");
+            assert!(out.stats.throughput() > 0.0, "{path:?}");
+            assert!(out.stats.mean_latency() > Cycles::ZERO, "{path:?}");
+        }
     }
 
     #[test]
@@ -2298,7 +2647,7 @@ mod tests {
     #[test]
     fn no_commit_phase_in_breakdown() {
         // Fig 10: HADES has only Execution and Validation.
-        let out = run_app("Map-wA", 20, 200);
+        let out = run_app(LocalPath::Hardware, "Map-wA", 20, 200);
         assert_eq!(out.stats.phases.commit, 0);
         assert!(out.stats.phases.execution > 0);
         assert!(out.stats.phases.validation > 0);
@@ -2306,35 +2655,11 @@ mod tests {
 
     #[test]
     fn conservation_invariant_holds_under_contention() {
-        let cfg = SimConfig::isca_default();
-        let mut db = Database::new(cfg.shape.nodes);
-        let accounts = 2_000u64;
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts,
-                hotspot: Some((20, 0.7)),
-            },
-        );
-        let (checking, savings) = (sb.checking(), sb.savings());
-        let initial = 2 * accounts * INITIAL_BALANCE;
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 600).run_full();
-        let db = &out.cluster.db;
-        let mut total = 0u64;
-        for t in [checking, savings] {
-            for a in 0..accounts {
-                let rid = db.lookup(t, a).unwrap().rid;
-                total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
-            }
+        for path in PATHS {
+            let (cl, ws, ledger) = smallbank(SimConfig::isca_default(), 2_000, (20, 0.7));
+            let out = HadesSim::with_path(path, cl, ws, 0, 600).run_full();
+            ledger.assert_conserved(&out, &format!("{path:?}"));
         }
-        assert_eq!(
-            total,
-            initial.wrapping_add(out.total_sum_delta as u64),
-            "money not conserved: commits={}, squashes={}",
-            out.total_commits,
-            out.stats.squashes
-        );
     }
 
     #[test]
@@ -2342,16 +2667,8 @@ mod tests {
         // Force all-local traffic with a hot set: L–L conflicts must be
         // caught eagerly.
         let cfg = SimConfig::isca_default().with_local_fraction(1.0);
-        let mut db = Database::new(cfg.shape.nodes);
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts: 500,
-                hotspot: Some((4, 0.9)),
-            },
-        );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full();
+        let (cl, ws, _) = smallbank(cfg, 500, (4, 0.9));
+        let out = HadesSim::new(cl, ws, 0, 300).run_full();
         assert!(
             out.stats.squashes_for(SquashReason::EagerLocal) > 0,
             "expected eager L–L squashes, reasons: {:?}",
@@ -2361,17 +2678,8 @@ mod tests {
 
     #[test]
     fn lazy_squashes_under_remote_contention() {
-        let cfg = SimConfig::isca_default();
-        let mut db = Database::new(cfg.shape.nodes);
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts: 500,
-                hotspot: Some((4, 0.9)),
-            },
-        );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full();
+        let (cl, ws, _) = smallbank(SimConfig::isca_default(), 500, (4, 0.9));
+        let out = HadesSim::new(cl, ws, 0, 300).run_full();
         let lazy = out.stats.squashes_for(SquashReason::LazyConflict)
             + out.stats.squashes_for(SquashReason::LockFailed);
         assert!(
@@ -2382,24 +2690,43 @@ mod tests {
     }
 
     #[test]
+    fn local_validation_catches_conflicts() {
+        let cfg = SimConfig::isca_default().with_local_fraction(0.9);
+        let (cl, ws, _) = smallbank(cfg, 400, (4, 0.9));
+        let out = HadesSim::with_path(LocalPath::Software, cl, ws, 0, 300).run_full();
+        assert!(
+            out.stats.squashes_for(SquashReason::ValidationFailed) > 0
+                || out.stats.squashes_for(SquashReason::LockFailed) > 0,
+            "expected software-validation squashes, got {:?}",
+            out.stats.squash_reasons
+        );
+    }
+
+    #[test]
     fn false_positive_rate_is_small() {
         // Section VIII-C: ~0.04% of conflict checks are false positives.
-        let out = run_app("BTree-wA", 50, 400);
+        let out = run_app(LocalPath::Hardware, "BTree-wA", 50, 400);
         let rate = out.stats.false_positive_rate();
         assert!(rate < 0.02, "false positive rate {rate} too high");
     }
 
     #[test]
     fn no_state_leaks_after_drain() {
-        let out = run_app("B+Tree-wA", 0, 200);
-        for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
-            assert_eq!(bufs.occupied(), 0, "node {n} left lock buffers held");
-        }
-        for (n, mem) in out.cluster.mems.iter().enumerate() {
-            assert_eq!(mem.speculative_lines(), 0, "node {n} left spec lines");
-        }
-        for (n, nic) in out.cluster.nics.iter().enumerate() {
-            assert_eq!(nic.active_remote_txs(), 0, "node {n} NIC left filters");
+        for path in PATHS {
+            for app in ["B+Tree-wA", "Map-wB"] {
+                let out = run_app(path, app, 0, 200);
+                for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
+                    assert_eq!(bufs.occupied(), 0, "{path:?} {app}: node {n} left locks");
+                }
+                for (n, mem) in out.cluster.mems.iter().enumerate() {
+                    let spec = mem.speculative_lines();
+                    assert_eq!(spec, 0, "{path:?} {app}: node {n} left spec lines");
+                }
+                for (n, nic) in out.cluster.nics.iter().enumerate() {
+                    let txs = nic.active_remote_txs();
+                    assert_eq!(txs, 0, "{path:?} {app}: node {n} NIC left filters");
+                }
+            }
         }
     }
 
@@ -2458,7 +2785,7 @@ mod tests {
 
     #[test]
     fn replication_off_means_no_persists() {
-        let out = run_app("HT-wA", 0, 150);
+        let out = run_app(LocalPath::Hardware, "HT-wA", 0, 150);
         assert_eq!(out.stats.replica_persists, 0);
         assert_eq!(out.stats.dropped_messages, 0);
     }
@@ -2487,87 +2814,88 @@ mod tests {
     }
 
     #[test]
-    fn message_loss_aborts_cleanly_and_conserves_money() {
-        let cfg = SimConfig::isca_default()
-            .with_replication(1)
-            .with_message_loss(0.05);
-        let mut db = Database::new(cfg.shape.nodes);
-        let accounts = 1_000u64;
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts,
-                hotspot: Some((16, 0.5)),
-            },
-        );
-        let (checking, savings) = (sb.checking(), sb.savings());
-        let initial = 2 * accounts * INITIAL_BALANCE;
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 400).run_full();
-        assert!(out.stats.dropped_messages > 0, "loss injection inactive");
-        assert!(
-            out.stats.squashes_for(SquashReason::CommitTimeout) > 0,
-            "lost commit messages must surface as timeouts: {:?}",
-            out.stats.squash_reasons
-        );
-        // The two-phase commit keeps the database consistent through the
-        // losses: no partial commits, no double applies.
-        let db = &out.cluster.db;
-        let mut total = 0u64;
-        for t in [checking, savings] {
-            for a in 0..accounts {
-                let rid = db.lookup(t, a).unwrap().rid;
-                total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
+    fn message_loss_times_out_and_conserves_money() {
+        // Lost or duplicated commit-handshake messages must be absorbed by
+        // the commit-timeout path: all commits land, money is conserved,
+        // and no NIC filters or Locking Buffers leak. Two loss models: the
+        // legacy lossy config (with a replica per record), and a plan that
+        // drops and duplicates Intends and Acks.
+        for path in PATHS {
+            let lossy = SimConfig::isca_default()
+                .with_replication(1)
+                .with_message_loss(0.05);
+            let (cl, ws, ledger) = smallbank(lossy, 1_000, (16, 0.5));
+            let legacy = HadesSim::with_path(path, cl, ws, 0, 400).run_full();
+            let (mut cl, ws, planned_ledger) =
+                smallbank(SimConfig::isca_default(), 1_000, (16, 0.5));
+            cl.install_fault_plan(
+                FaultPlan::none()
+                    .with_seed(5)
+                    .drop_verb(Verb::Intend, 0.05)
+                    .drop_verb(Verb::Ack, 0.05)
+                    .dup_verb(Verb::Intend, 0.05)
+                    .dup_verb(Verb::Ack, 0.05),
+            );
+            let planned = HadesSim::with_path(path, cl, ws, 0, 400).run_full();
+            for (out, ledger, what) in [
+                (&legacy, &ledger, "legacy"),
+                (&planned, &planned_ledger, "plan"),
+            ] {
+                let what = format!("{path:?} {what}");
+                assert_eq!(out.stats.committed, 400, "{what}");
+                assert!(out.stats.dropped_messages > 0, "{what}: loss inactive");
+                assert!(
+                    out.stats.squashes_for(SquashReason::CommitTimeout) > 0
+                        && out.stats.recovery.timeout_retries > 0,
+                    "{what}: lost commit messages must surface as timeouts: {:?}",
+                    out.stats.squash_reasons
+                );
+                // The two-phase commit keeps the database consistent
+                // through the losses: no partial commits, no double
+                // applies.
+                ledger.assert_conserved(out, &what);
+                for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
+                    assert_eq!(bufs.occupied(), 0, "{what}: node {n} leaked locks");
+                }
+                for (n, nic) in out.cluster.nics.iter().enumerate() {
+                    let txs = nic.active_remote_txs();
+                    assert_eq!(txs, 0, "{what}: node {n} NIC left filters");
+                }
             }
-        }
-        assert_eq!(total, initial.wrapping_add(out.total_sum_delta as u64));
-        for bufs in &out.cluster.lock_bufs {
-            assert_eq!(bufs.occupied(), 0, "locks leaked through message loss");
         }
     }
 
     #[test]
     fn crash_restart_recovers_and_conserves_money() {
-        use hades_fault::FaultPlan;
-        let cfg = SimConfig::isca_default().with_replication(1);
-        let mut db = Database::new(cfg.shape.nodes);
-        let accounts = 1_000u64;
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts,
-                hotspot: Some((16, 0.5)),
-            },
-        );
-        let (checking, savings) = (sb.checking(), sb.savings());
-        let initial = 2 * accounts * INITIAL_BALANCE;
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let mut cl = Cluster::new(cfg, db);
-        cl.install_fault_plan(
-            FaultPlan::none()
-                .with_seed(11)
-                .with_lease(Cycles::new(30_000))
-                .crash(1, Cycles::new(60_000), Cycles::new(200_000)),
-        );
-        let out = HadesSim::new(cl, ws, 0, 400).run_full();
-        assert_eq!(out.stats.committed, 400, "run must survive the crash");
-        assert_eq!(out.stats.faults.crashes, 1);
-        assert_eq!(out.stats.faults.restarts, 1);
-        let db = &out.cluster.db;
-        let mut total = 0u64;
-        for t in [checking, savings] {
-            for a in 0..accounts {
-                let rid = db.lookup(t, a).unwrap().rid;
-                total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
+        for path in PATHS {
+            let cfg = SimConfig::isca_default().with_replication(1);
+            let (mut cl, ws, ledger) = smallbank(cfg, 1_000, (16, 0.5));
+            cl.install_fault_plan(
+                FaultPlan::none()
+                    .with_seed(11)
+                    .with_lease(Cycles::new(30_000))
+                    .crash(1, Cycles::new(60_000), Cycles::new(200_000)),
+            );
+            let out = HadesSim::with_path(path, cl, ws, 0, 400).run_full();
+            assert_eq!(
+                out.stats.committed, 400,
+                "{path:?}: run must survive the crash"
+            );
+            assert_eq!(out.stats.faults.crashes, 1, "{path:?}");
+            assert_eq!(out.stats.faults.restarts, 1, "{path:?}");
+            assert!(
+                out.stats.replica_persists > 0,
+                "{path:?}: no replica persists"
+            );
+            assert_eq!(out.replica_pending_leaked, 0, "{path:?}: prepares leaked");
+            ledger.assert_conserved(&out, &format!("{path:?} across the crash"));
+            for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
+                assert_eq!(
+                    bufs.occupied(),
+                    0,
+                    "{path:?}: node {n} leaked locks across crash"
+                );
             }
-        }
-        assert_eq!(
-            total,
-            initial.wrapping_add(out.total_sum_delta as u64),
-            "money not conserved across the crash"
-        );
-        for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
-            assert_eq!(bufs.occupied(), 0, "node {n} leaked locks across crash");
         }
     }
 
@@ -2591,6 +2919,36 @@ mod tests {
             "HADES/Baseline speedup only {speedup:.2} (hades {:.0}, base {:.0})",
             hades.throughput(),
             base.throughput()
+        );
+    }
+
+    #[test]
+    fn performance_between_baseline_and_hades() {
+        // Fig 9's ordering: Baseline <= HADES-H <= HADES (roughly).
+        let mk = || {
+            let cfg = SimConfig::isca_default();
+            let mut db = Database::new(cfg.shape.nodes);
+            let app = AppId::parse("HT-wA").unwrap().build(&mut db, 0.005);
+            let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
+            (Cluster::new(cfg, db), ws)
+        };
+        let (cl, ws) = mk();
+        let b = crate::baseline::BaselineSim::new(cl, ws, 50, 300)
+            .run()
+            .throughput();
+        let [h, full] = [LocalPath::Software, LocalPath::Hardware].map(|path| {
+            let (cl, ws) = mk();
+            HadesSim::with_path(path, cl, ws, 50, 300)
+                .run()
+                .throughput()
+        });
+        assert!(
+            h > b * 0.95,
+            "HADES-H ({h:.0}) should beat Baseline ({b:.0})"
+        );
+        assert!(
+            full > h * 0.9,
+            "HADES ({full:.0}) should be at least comparable to HADES-H ({h:.0})"
         );
     }
 }
