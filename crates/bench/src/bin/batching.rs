@@ -31,9 +31,6 @@
 //! batch-occupancy window from the `hades-timeseries/v1` series.
 
 use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
 use hades_core::runner::Protocol;
 use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades_sim::config::{BatchingParams, SimConfig};
@@ -108,11 +105,7 @@ fn run_once(protocol: Protocol, cfg: SimConfig, theta: f64, measure: u64) -> Obs
     let table = ycsb.table();
     let ws = WorkloadSet::single(Box::new(ycsb), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, measure);
     let mut records_locked = false;
     for key in 0..keys {
         let rid = out.cluster.db.lookup(table, key).expect("key loaded").rid;

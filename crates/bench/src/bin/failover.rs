@@ -22,9 +22,6 @@
 //! block in the JSON report.
 
 use hades_bench::{flag_value, has_flag, print_table, report_goodput_dip, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
 use hades_core::runner::Protocol;
 use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades_fault::FaultPlan;
@@ -77,11 +74,7 @@ fn run_failover(
     let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
     let mut cl = Cluster::new(cfg, db);
     cl.install_fault_plan(FaultPlan::none().crash_forever(DEAD_NODE, crash_at));
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, measure);
     let mut total = 0u64;
     for t in [checking, savings] {
         for a in 0..accounts {

@@ -30,9 +30,6 @@
 //! report under `results/`).
 
 use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
 use hades_core::runner::Protocol;
 use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades_fault::FaultPlan;
@@ -139,11 +136,7 @@ fn run_once(
     if let Some(plan) = plan {
         cl.install_fault_plan(plan.clone());
     }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, measure);
     let db = &out.cluster.db;
     let mut final_total = 0u64;
     let mut records_locked = false;

@@ -21,9 +21,6 @@
 //! is printed per cell and embedded in the JSON report.
 
 use hades_bench::{flag_value, has_flag, print_table, report_goodput_dip, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
 use hades_core::runner::Protocol;
 use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades_sim::config::{ClusterShape, MigrationParams, SimConfig};
@@ -68,11 +65,7 @@ fn run_rebalance(
     let (checking, savings) = (sb.checking(), sb.savings());
     let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, measure);
     let mut total = 0u64;
     for t in [checking, savings] {
         for a in 0..accounts {

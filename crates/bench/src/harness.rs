@@ -10,9 +10,6 @@
 //! such documents cell-by-cell and reports throughput/p99 regressions
 //! beyond a threshold — the CI perf gate.
 
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
 use hades_core::runner::Protocol;
 use hades_core::runtime::{Cluster, WorkloadSet};
 use hades_core::stats::RunStats;
@@ -296,11 +293,7 @@ pub fn run_cell_batched(
     let ws = WorkloadSet::single(workload, cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
     let started = std::time::Instant::now();
-    let stats = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run(),
-        Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run(),
-    };
+    let stats = protocol.run(cl, ws, warmup, measure).stats;
     let wall_ms = if bc.wall_clock {
         started.elapsed().as_millis() as u64
     } else {

@@ -36,6 +36,16 @@ impl Protocol {
             Protocol::Hades => "HADES",
         }
     }
+
+    /// Runs this protocol's engine over `cl` and `ws`: `warmup` commits
+    /// discarded, `measure` commits recorded.
+    pub fn run(self, cl: Cluster, ws: WorkloadSet, warmup: u64, measure: u64) -> RunOutcome {
+        match self {
+            Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run_full(),
+            Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run_full(),
+            Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run_full(),
+        }
+    }
 }
 
 impl fmt::Display for Protocol {
@@ -172,11 +182,7 @@ fn run_mix_inner(
     if let Some(plan) = plan {
         cl.install_fault_plan(plan);
     }
-    match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, ex.warmup, ex.measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, ex.warmup, ex.measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, ex.warmup, ex.measure).run_full(),
-    }
+    protocol.run(cl, ws, ex.warmup, ex.measure)
 }
 
 /// Runs `protocol` over a single application with a trace sink installed.

@@ -10,9 +10,6 @@
 //!
 //! Run: `cargo run --release --example banking`
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::sim::config::SimConfig;
@@ -36,11 +33,7 @@ fn run(protocol: Protocol) -> (RunOutcome, [hades::storage::TableId; 2]) {
     let tables = [bank.checking(), bank.savings()];
     let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 3_000).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 3_000).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 3_000).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, 3_000);
     (out, tables)
 }
 

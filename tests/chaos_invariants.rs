@@ -10,9 +10,6 @@
 //! byte-identical JSONL traces and stats JSON, and a zero-fault plan must
 //! be byte-identical to a run with no injector installed at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::fault::FaultPlan;
@@ -49,11 +46,7 @@ fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, Stri
     if let Some(plan) = plan {
         cl.install_fault_plan(plan.clone());
     }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, MEASURE);
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
     let mut total = 0u64;
     for t in [checking, savings] {

@@ -11,9 +11,6 @@
 //! With membership left off, the layer must be invisible: identical
 //! traces, stats, and ledgers to a run that never mentions it.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::core::stats::MembershipStats;
@@ -61,11 +58,7 @@ fn run_traced(
     if let Some(plan) = plan {
         cl.install_fault_plan(plan.clone());
     }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, MEASURE);
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
     let mut total = 0u64;
     for t in [checking, savings] {

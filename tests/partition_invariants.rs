@@ -16,9 +16,6 @@
 //! the standard membership profile must be byte-identical to a run with
 //! no injector installed at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::fault::FaultPlan;
@@ -88,11 +85,7 @@ fn run_traced(
     }
     let (tracer, sink) = Tracer::memory();
     cl.install_tracer(tracer);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, measure);
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
     let mut total = 0u64;
     for t in [checking, savings] {

@@ -2,9 +2,6 @@
 //! must conserve RMW sums and leave no hardware state behind, under all
 //! three protocols.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::sim::config::{ClusterShape, SimConfig};
@@ -108,11 +105,7 @@ fn run_fuzz(
     };
     let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 200).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 200).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 200).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, 200);
     (out, table, keys)
 }
 
@@ -233,11 +226,7 @@ proptest! {
             let w = RmwOnlyWorkload { table, keys };
             let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
             let cl = Cluster::new(cfg, db);
-            let out = match protocol {
-                Protocol::Baseline => BaselineSim::new(cl, ws, 0, 150).run_full(),
-                Protocol::HadesH => HadesHSim::new(cl, ws, 0, 150).run_full(),
-                Protocol::Hades => HadesSim::new(cl, ws, 0, 150).run_full(),
-            };
+            let out = protocol.run(cl, ws, 0, 150);
             let db = &out.cluster.db;
             let total: u64 = (0..keys)
                 .map(|k| {

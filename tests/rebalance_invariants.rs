@@ -11,9 +11,6 @@
 //! installed, the layer must be byte-identical to a config that never
 //! mentions migration at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
 use hades::core::stats::MigrationStats;
@@ -64,11 +61,7 @@ fn run_traced(
     let mut cl = Cluster::new(cfg, db);
     let (tracer, sink) = Tracer::memory();
     cl.install_tracer(tracer);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = protocol.run(cl, ws, 0, MEASURE);
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
     let mut total = 0u64;
     for t in [checking, savings] {

@@ -3,12 +3,11 @@
 //! recorded per-record version-order history, plus clean hardware-state
 //! teardown.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
 use hades::core::runner::Protocol;
 use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
+use hades::sim::time::Cycles;
 use hades::storage::db::Database;
 use hades::storage::RecordId;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
@@ -36,11 +35,7 @@ fn run_with(
     }
     let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 400).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 400).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 400).run_full(),
-    }
+    protocol.run(cl, ws, 0, 400)
 }
 
 fn run(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) -> RunOutcome {
@@ -184,4 +179,42 @@ fn commit_history_witnesses_per_record_version_order() {
             );
         }
     }
+}
+
+/// HADES-H runs replication through the shared replica code: with one
+/// replica per record and a node crash and restart, its commits persist
+/// prepares, every prepare is finalized or drained, and the ledger
+/// balances.
+#[test]
+fn hades_h_replicates_through_crash_restart() {
+    let cfg = SimConfig::isca_default().with_replication(1);
+    let mut db = Database::new(cfg.shape.nodes);
+    let bank = Smallbank::setup(
+        &mut db,
+        SmallbankConfig {
+            accounts: ACCOUNTS,
+            hotspot: Some((16, 0.5)),
+        },
+    );
+    let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
+    let mut cl = Cluster::new(cfg, db);
+    cl.install_fault_plan(
+        FaultPlan::none()
+            .with_seed(11)
+            .with_lease(Cycles::new(30_000))
+            .crash(1, Cycles::new(60_000), Cycles::new(200_000)),
+    );
+    let out = Protocol::HadesH.run(cl, ws, 0, 400);
+    assert_eq!(out.stats.faults.restarts, 1, "the node must come back");
+    assert!(
+        out.stats.replica_persists > 0,
+        "no replica prepares persisted"
+    );
+    assert_eq!(out.replica_pending_leaked, 0, "replica prepares leaked");
+    let initial = 2 * ACCOUNTS * INITIAL_BALANCE;
+    assert_eq!(
+        total_money(&out),
+        initial.wrapping_add(out.total_sum_delta as u64),
+        "money not conserved across the crash"
+    );
 }
