@@ -16,7 +16,7 @@
 //!
 //! Example: `cargo run --release -p hades-bench --bin trace`
 
-use hades_bench::flag_value;
+use hades_bench::{flag_value, seed_loss_from_args};
 use hades_core::runner::{run_single_traced, Experiment, Protocol};
 use hades_telemetry::chrome::chrome_trace;
 use hades_telemetry::jsonl::events_to_jsonl;
@@ -40,7 +40,7 @@ fn main() {
         std::process::exit(2);
     };
     let mut ex = Experiment::quick();
-    if let Some(seed) = flag_value("--seed").and_then(|s| s.parse().ok()) {
+    if let Some(seed) = seed_loss_from_args().seed {
         ex.cfg = ex.cfg.with_seed(seed);
     }
     let out = flag_value("--out").unwrap_or_else(|| {

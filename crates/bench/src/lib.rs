@@ -49,14 +49,11 @@ use hades_telemetry::json::Json;
 /// Parses the standard driver flags. `--quick` shrinks dataset scale and
 /// measurement length so every figure runs in seconds; `--seed N` varies
 /// the RNG seed; `--loss P` injects commit-message loss at probability `P`
-/// through the cluster-wide fault plane (a seeded `FaultPlan`).
+/// through the cluster-wide fault plane (a seeded `FaultPlan`). Exits
+/// with status 2 on a bad `--seed` or `--loss` (see [`parse_seed_loss`]).
 pub fn experiment_from_args() -> Experiment {
     let quick = std::env::args().any(|a| a == "--quick");
-    let seed = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .and_then(|s| s.parse().ok());
-    let loss: Option<f64> = flag_value("--loss").and_then(|s| s.parse().ok());
+    let SeedLoss { seed, loss } = seed_loss_from_args();
     let mut ex = if quick {
         Experiment {
             cfg: SimConfig::isca_default(),
@@ -79,6 +76,53 @@ pub fn experiment_from_args() -> Experiment {
         ex.cfg = ex.cfg.with_message_loss(loss);
     }
     ex
+}
+
+/// The `--seed` and `--loss` values of a driver command line (`None`
+/// when the flag is absent).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SeedLoss {
+    /// RNG seed.
+    pub seed: Option<u64>,
+    /// Commit-message loss probability, in `[0, 1]`.
+    pub loss: Option<f64>,
+}
+
+/// Reads `--seed` and `--loss` from `args` (the arguments after the
+/// program name). A flag without a value, an unparsable value, or a loss
+/// outside `[0, 1]` is an error, not a silent default.
+pub fn parse_seed_loss(args: &[String]) -> Result<SeedLoss, String> {
+    let value = |flag: &str| -> Result<Option<&str>, String> {
+        match args.iter().position(|a| a == flag) {
+            None => Ok(None),
+            Some(i) => match args.get(i + 1) {
+                Some(v) => Ok(Some(v)),
+                None => Err(format!("{flag} needs a value")),
+            },
+        }
+    };
+    let seed = match value("--seed")? {
+        None => None,
+        Some(v) => Some(v.parse().map_err(|_| format!("bad --seed {v:?}"))?),
+    };
+    let loss = match value("--loss")? {
+        None => None,
+        Some(v) => match v.parse::<f64>() {
+            Ok(p) if (0.0..=1.0).contains(&p) => Some(p),
+            _ => return Err(format!("bad --loss {v:?} (want a probability in [0, 1])")),
+        },
+    };
+    Ok(SeedLoss { seed, loss })
+}
+
+/// [`parse_seed_loss`] over the process arguments; prints the error and
+/// exits with status 2 on a bad value.
+pub fn seed_loss_from_args() -> SeedLoss {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_seed_loss(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// True if `name` was passed on the command line (e.g. `--json`).

@@ -1,7 +1,9 @@
 //! The `bench` command line is strict: every flag it does not know, and
 //! every value it cannot parse, is an error instead of a silent default.
+//! The other drivers read `--seed` and `--loss` just as strictly.
 
 use hades_bench::harness::{parse_bench_args, BenchCommand, DEFAULT_SEED, DEFAULT_THRESHOLD};
+use hades_bench::{parse_seed_loss, SeedLoss};
 
 fn parse(args: &[&str]) -> Result<BenchCommand, String> {
     let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
@@ -94,4 +96,34 @@ fn malformed_command_lines_are_errors() {
     assert!(error(&["--compare", "a", "b", "--threshold", "NaN"]).contains("--threshold"));
     assert!(error(&["--threshold", "0.1"]).contains("needs --compare"));
     assert!(error(&["--compare", "a", "b", "--smoke"]).contains("--smoke cannot be combined"));
+}
+
+/// The other drivers share one strict reader for `--seed` and `--loss`.
+#[test]
+fn driver_seed_and_loss_are_strict() {
+    let read = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_seed_loss(&args)
+    };
+    assert_eq!(read(&["--quick"]), Ok(SeedLoss::default()));
+    assert_eq!(
+        read(&["--quick", "--seed", "42", "--loss", "0.05"]),
+        Ok(SeedLoss {
+            seed: Some(42),
+            loss: Some(0.05)
+        })
+    );
+    assert_eq!(read(&["--loss", "1"]).unwrap().loss, Some(1.0));
+    for bad in [
+        &["--seed", "x"][..],
+        &["--seed", "-1"],
+        &["--seed"],
+        &["--loss", "lots"],
+        &["--loss", "1.5"],
+        &["--loss", "-0.1"],
+        &["--loss", "NaN"],
+        &["--loss"],
+    ] {
+        assert!(read(bad).is_err(), "{bad:?} must be rejected");
+    }
 }
