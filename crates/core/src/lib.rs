@@ -1,16 +1,18 @@
 //! # hades-core — the HADES distributed transactional protocols
 //!
-//! The primary contribution of the paper, reproduced as three
-//! discrete-event protocol simulators over the shared substrates:
+//! The primary contribution of the paper, reproduced as three protocols
+//! on two discrete-event engines over the shared substrates:
 //!
 //! * [`baseline`] — the optimized FaRM-style software protocol (*SW-Impl*,
 //!   Section III), with Fig 3 overhead accounting.
-//! * [`hades`] — the hardware-only HADES protocol (Section V-A): Bloom
-//!   filters beside the directory and in the NIC, `WrTX_ID` tags, partial
+//! * [`hades`] — the HADES engine: Bloom filters in the NIC, partial
 //!   directory locking, and the Intend-to-commit / Ack / Validation
-//!   one-round-trip distributed commit.
-//! * [`hades_h`] — HADES-H (Section V-D): software record-granularity
-//!   local path, hardware remote path.
+//!   one-round-trip distributed commit. Its hardware local path
+//!   ([`hades::LocalPath::Hardware`]) is HADES (Section V-A): Bloom
+//!   filters beside the directory and `WrTX_ID` tags. Its software local
+//!   path ([`hades::LocalPath::Software`]) is HADES-H (Section V-D):
+//!   record-granularity read/write sets and Local Validation.
+//! * [`hades_h`] — the `HadesHSim::new` entry point of HADES-H.
 //!
 //! [`runner`] drives any of the three over the paper's workloads and
 //! cluster shapes; [`hwcost`] reproduces the Section VI hardware-storage

@@ -1,4 +1,4 @@
-//! Shared runtime for the three protocol simulators: cluster state, core
+//! Shared runtime for the protocol engines: cluster state, core
 //! scheduling, transaction resolution, workload binding and measurement.
 
 use crate::membership::Membership;

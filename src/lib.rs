@@ -7,9 +7,9 @@
 //! The interesting entry points are:
 //!
 //! * [`core`] — the three distributed transactional protocols (the
-//!   FaRM-style software [`core::baseline`], hardware
-//!   [`core::hades`], and hybrid [`core::hades_h`]) plus the experiment
-//!   runner.
+//!   FaRM-style software [`core::baseline`], and the [`core::hades`]
+//!   engine, which runs hardware HADES or hybrid HADES-H by its local
+//!   path) plus the experiment runner.
 //! * [`workloads`] — TPC-C, TATP, Smallbank and YCSB A/B over four
 //!   key-value stores.
 //! * [`sim`] — the deterministic discrete-event substrate and the Table III
