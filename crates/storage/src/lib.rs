@@ -19,7 +19,10 @@
 //! The host layout is flat: the database keeps one 40-byte
 //! [`record::RecordHeader`] per record in a single vector and every value
 //! in an arena of 1 MiB chunks ([`db::ARENA_CHUNK_BYTES`]), so loading a
-//! record costs no allocation of its own. Hash-table slots are 12 bytes.
+//! record costs no allocation of its own. A value is stored only once it
+//! is written: a record loaded with an all-zero value of at most 4 KiB
+//! owns no arena bytes and reads as zeros until its first
+//! [`db::Database::record_mut`]. Hash-table slots are 12 bytes.
 //!
 //! # Examples
 //!

@@ -39,7 +39,8 @@ const UNLOCKED: u64 = u64::MAX;
 pub struct RecordHeader {
     base_line: u64,
     /// Arena position of the value: chunk index in the high 32 bits,
-    /// byte offset within the chunk in the low 32.
+    /// byte offset within the chunk in the low 32; `u64::MAX` while the
+    /// value is not stored (it then reads as zeros).
     pub(crate) offset: u64,
     /// Fig 1 `Version` — bumped by software protocols on every write.
     version: u64,
