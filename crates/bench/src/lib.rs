@@ -92,20 +92,11 @@ pub struct SeedLoss {
 /// program name). A flag without a value, an unparsable value, or a loss
 /// outside `[0, 1]` is an error, not a silent default.
 pub fn parse_seed_loss(args: &[String]) -> Result<SeedLoss, String> {
-    let value = |flag: &str| -> Result<Option<&str>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => match args.get(i + 1) {
-                Some(v) => Ok(Some(v)),
-                None => Err(format!("{flag} needs a value")),
-            },
-        }
-    };
-    let seed = match value("--seed")? {
+    let seed = match flag_value_in(args, "--seed")? {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("bad --seed {v:?}"))?),
     };
-    let loss = match value("--loss")? {
+    let loss = match flag_value_in(args, "--loss")? {
         None => None,
         Some(v) => match v.parse::<f64>() {
             Ok(p) if (0.0..=1.0).contains(&p) => Some(p),
@@ -130,10 +121,29 @@ pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Returns the value following `name` on the command line, if any
-/// (e.g. `--out trace.json`).
+/// The value following `name` in `args` (the arguments after the
+/// program name), or `None` when the flag is absent. A flag that is last,
+/// or whose next argument is another `--` flag, is an error: otherwise
+/// `--json --quick` would write a file named `--quick`.
+pub fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+            _ => Err(format!("{name} needs a value")),
+        },
+    }
+}
+
+/// [`flag_value_in`] over the process arguments (e.g. `--out
+/// trace.json`); prints the error and exits with status 2 on a missing
+/// value.
 pub fn flag_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    flag_value_in(&args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Writes `doc` (plus a trailing newline) to `path`, creating parent
