@@ -65,7 +65,7 @@ fn ht_wa_default_geometry_is_pinned() {
             Protocol::Baseline,
             (46_422, 5_762),
             0,
-            0x4BC8_576D_1EA1_5EA4,
+            0x2CB1_26D2_9E9C_D4EE,
         ),
         (Protocol::HadesH, (6_633, 4_683), 0, 0x9E62_1D1E_0770_F428),
         (Protocol::Hades, (5_566, 4_648), 0, 0xF0E6_1C0B_E80B_AE44),

@@ -9,7 +9,7 @@
 
 use hades::core::runner::{run_single, run_single_traced, Experiment, Protocol};
 use hades::sim::config::SimConfig;
-use hades::telemetry::event::TraceEvent;
+use hades::telemetry::event::{EventKind, TraceEvent};
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::registry::MetricsRegistry;
 use hades::telemetry::sink::Tracer;
@@ -102,4 +102,39 @@ fn registry_agrees_with_run_stats() {
         reg.counter("txn.begin") >= commits,
         "every commit needs a begin"
     );
+}
+
+#[test]
+fn squashes_count_only_inside_the_measurement_window() {
+    // The window closes at the `measure`-th commit (warmup 0); aborts of
+    // transactions still in flight while the run drains are not
+    // measured. So the squash count equals the aborts traced before that
+    // commit, on every engine.
+    let ex = Experiment {
+        warmup: 0,
+        ..quick()
+    };
+    for app in ["HT-wB", "TPC-C"] {
+        for protocol in Protocol::ALL {
+            let (tracer, sink) = Tracer::memory();
+            let out = run_single_traced(protocol, AppId::parse(app).unwrap(), &ex, tracer);
+            let events = sink.borrow_mut().take_events();
+            let mut commits = 0;
+            let mut aborts = 0;
+            for e in &events {
+                match e.kind {
+                    EventKind::TxnCommit => commits += 1,
+                    EventKind::TxnAbort { .. } => aborts += 1,
+                    _ => {}
+                }
+                if commits == ex.measure {
+                    break;
+                }
+            }
+            assert_eq!(
+                out.stats.squashes, aborts,
+                "{app} {protocol}: squashes counted outside the window"
+            );
+        }
+    }
 }
