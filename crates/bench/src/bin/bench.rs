@@ -4,7 +4,7 @@
 //! matrix and writes a schema-versioned `BENCH_<id>.json`:
 //!
 //! ```text
-//! cargo run --release -p hades-bench --bin bench -- --bench-id 9 --batch 16 --out BENCH_9.json
+//! cargo run --release -p hades-bench --bin bench -- --bench-id 9 --out BENCH_9.json
 //! ```
 //!
 //! Flags: `--smoke` (reduced matrix sizing), `--seed N`, `--profile`
@@ -13,11 +13,9 @@
 //! contributor of the top-10 slowest committed transactions per cell),
 //! `--timeseries` (adds a per-cell windowed time-series block),
 //! `--no-wall` (omit host wall-clock fields, making output
-//! byte-deterministic across machines), `--batch N` (append batched
-//! duplicates of every cell, run under adaptive doorbell coalescing
-//! capped at N verbs — cells labeled `<workload>+batchN`), `--out PATH`
-//! (default stdout), `--bench-id ID`. `--help` prints the usage; an
-//! unknown flag or a missing or unparsable value exits 2 with the usage.
+//! byte-deterministic across machines), `--out PATH` (default stdout),
+//! `--bench-id ID`. `--help` prints the usage; an unknown flag or a
+//! missing or unparsable value exits 2 with the usage.
 //!
 //! Compare mode: diffs two bench documents cell-by-cell and exits
 //! non-zero if any cell's throughput dropped, or p99 latency rose, by

@@ -277,7 +277,6 @@ impl<P: Hooks> Engine<P> {
         stats.node_verbs = self.cl.verbs_by_node.clone();
         stats.messages = self.cl.fabric.messages_sent();
         stats.verbs = *self.cl.fabric.verb_counts();
-        stats.batching = self.cl.fabric.take_batch_stats();
         stats.llc_eviction_squashes = self.cl.mems.iter().map(|m| m.eviction_squashes()).sum();
         let inj = self.cl.fabric.injector();
         stats.faults = inj.faults;

@@ -2,7 +2,6 @@
 //! software-overhead accounting.
 
 use hades_fault::{FaultCounts, RecoveryCounts};
-use hades_net::batch::BatchStats;
 use hades_sim::stats::Histogram;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::VerbCounts;
@@ -448,9 +447,6 @@ pub struct RunStats {
     /// Windowed time-series (`Some` only when the run was configured
     /// with `SimConfig::with_timeseries()`; see DESIGN.md §13).
     pub timeseries: Option<TimeSeries>,
-    /// Verb-batching counters (`Some` only when the run was configured
-    /// with `SimConfig::with_batching()`; see DESIGN.md §14).
-    pub batching: Option<BatchStats>,
 }
 
 impl RunStats {
@@ -486,7 +482,6 @@ impl RunStats {
             profile: None,
             spans: None,
             timeseries: None,
-            batching: None,
         }
     }
 
@@ -718,10 +713,6 @@ impl RunStats {
         if let Some(ts) = &self.timeseries {
             b = b.field("timeseries", ts.to_json());
         }
-        // And the batching block only when the subsystem was installed.
-        if let Some(batching) = &self.batching {
-            b = b.field("batching", batching.to_json());
-        }
         b.field("elapsed_us", self.elapsed.as_micros()).build()
     }
 }
@@ -834,24 +825,6 @@ mod tests {
         assert!(rendered.contains("\"partitions_moved\":1"));
         assert!(rendered.contains("\"chunks_moved\":8"));
         assert!(rendered.contains("\"straddlers_fenced\":2"));
-    }
-
-    #[test]
-    fn batching_block_absent_when_off() {
-        use hades_net::batch::Batcher;
-        use hades_sim::config::{BatchingParams, NetParams};
-        use hades_sim::ids::NodeId;
-        use hades_telemetry::event::Verb;
-        let mut s = RunStats::new(1);
-        assert!(!s.to_json().render().contains("batching"));
-        let mut b = Batcher::new(BatchingParams::fixed(2), NetParams::default(), 2);
-        b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        s.batching = Some(b.finish());
-        let rendered = s.to_json().render();
-        assert!(rendered.contains("\"batching\":"));
-        assert!(rendered.contains("\"flushes\":1"));
-        assert!(rendered.contains("\"joined\":1"));
     }
 
     #[test]

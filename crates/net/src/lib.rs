@@ -20,10 +20,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod fabric;
 pub mod nic;
 
-pub use batch::{BatchRole, BatchStats, Batcher, RecvBatch, SendBatch};
 pub use fabric::{wire_size, Fabric};
 pub use nic::{Nic, NicConflict, RemoteTxKey, TxRemoteTable};

@@ -414,99 +414,6 @@ impl Default for OverloadParams {
     }
 }
 
-/// Fabric verb batching & doorbell coalescing (DESIGN.md §14).
-///
-/// When enabled, every fabric verb send is routed through a per-node NIC
-/// doorbell pipeline: the first verb of a per-(src,dst) queue-pair batch
-/// ("the leader") pays the full doorbell/WQE-marshalling cost, while
-/// verbs that land on the same queue pair within the coalesce window
-/// ("joiners") ride the open WQE chain for a small incremental cost and
-/// skip the receiver-side per-message NIC processing. Batches never hold
-/// a verb back — the leader rings its doorbell immediately — so an idle
-/// fabric sees unbatched latency. An adaptive policy grows the per-QP
-/// batch-size target while the sender's doorbell pipeline has a backlog
-/// of outstanding verbs, and drains the target back to one when idle.
-///
-/// Everything defaults to **off**, and the fabric consults these knobs
-/// only when [`BatchingParams::enabled`] is set, so a default run is
-/// byte-identical (events, RNG stream, stats JSON) to a build without
-/// the subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchingParams {
-    /// Master switch: route fabric sends through the batching subsystem.
-    pub enabled: bool,
-    /// Upper bound on verbs per batch (the adaptive target's ceiling).
-    pub max_batch: u32,
-    /// Adaptive doorbell policy: grow the per-QP target ×2 (up to
-    /// `max_batch`) while the sender's outstanding-verb backlog is at or
-    /// above `high_watermark`; drain it back to 1 when the backlog is at
-    /// or below `low_watermark`. When false the target is pinned at
-    /// `max_batch` (`fixed(1)` models a doorbell per verb — the
-    /// "unbatched" comparison point of the `batching` sweep).
-    pub adaptive: bool,
-    /// Sender-side cost of marshalling a WQE and ringing the doorbell for
-    /// a batch leader, serialized through the per-node send pipeline.
-    pub doorbell_cycles: Cycles,
-    /// Incremental sender-side cost of appending one joiner verb to an
-    /// open WQE chain.
-    pub per_verb_cycles: Cycles,
-    /// A batch accepts joiners for this long after its leader was issued.
-    pub coalesce_window: Cycles,
-    /// Outstanding-verb backlog at or above this grows the batch target.
-    pub high_watermark: u32,
-    /// Outstanding-verb backlog at or below this drains the target to 1.
-    pub low_watermark: u32,
-    /// Coalesced squash propagation: a Squash verb targeting a queue pair
-    /// whose open batch already carries a squash piggybacks on it at zero
-    /// pipeline cost (one batched verb carries several notifications).
-    pub coalesce_squashes: bool,
-}
-
-impl BatchingParams {
-    /// The standard adaptive profile used by the `batching` sweep and the
-    /// batched bench cells: up to 16 verbs per doorbell, growth at a
-    /// backlog of 6, a 1 µs coalesce window, squash coalescing on.
-    pub fn standard() -> Self {
-        BatchingParams {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// A non-adaptive profile with the target pinned at `n`; `fixed(1)`
-    /// is the unbatched baseline (every verb rings its own doorbell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn fixed(n: u32) -> Self {
-        assert!(n > 0, "a batch holds at least one verb");
-        BatchingParams {
-            enabled: true,
-            adaptive: false,
-            max_batch: n,
-            ..Default::default()
-        }
-    }
-}
-
-impl Default for BatchingParams {
-    fn default() -> Self {
-        BatchingParams {
-            enabled: false,
-            max_batch: 16,
-            adaptive: true,
-            // Mirrors `SwCosts::rdma_issue`: marshalling + MMIO doorbell.
-            doorbell_cycles: Cycles::new(450),
-            per_verb_cycles: Cycles::new(40),
-            coalesce_window: Cycles::new(2_000),
-            high_watermark: 6,
-            low_watermark: 1,
-            coalesce_squashes: true,
-        }
-    }
-}
-
 /// Membership / failover layer: a cluster-wide configuration epoch driven
 /// by a lease-renewal failure detector, backup promotion for partitions
 /// homed at dead nodes, and epoch fencing of stale fabric verbs.
@@ -731,10 +638,6 @@ pub struct SimConfig {
     /// Off by default (empty plan); a disabled plan draws no RNG, emits
     /// no events and changes no stats.
     pub migration: MigrationParams,
-    /// Fabric verb batching & doorbell coalescing (DESIGN.md §14). Off by
-    /// default; a disabled batcher draws no RNG, emits no events and
-    /// changes no stats.
-    pub batching: BatchingParams,
     /// Locking Buffer bank capacity per node. `None` keeps the historical
     /// sizing (`shape.total_slots().max(4)`, which never saturates);
     /// `Some(n)` models a capacity-starved bank that can return
@@ -777,7 +680,6 @@ impl SimConfig {
             overload: OverloadParams::default(),
             membership: MembershipParams::default(),
             migration: MigrationParams::default(),
-            batching: BatchingParams::default(),
             lock_buffer_slots: None,
             profile: false,
             spans: false,
@@ -857,13 +759,6 @@ impl SimConfig {
     /// (DESIGN.md §15).
     pub fn with_migration(mut self, migration: MigrationParams) -> Self {
         self.migration = migration;
-        self
-    }
-
-    /// Same configuration with the verb-batching subsystem configured
-    /// (DESIGN.md §14).
-    pub fn with_batching(mut self, batching: BatchingParams) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -1050,33 +945,6 @@ mod tests {
         assert_eq!(m.chunks_per_move(), 100);
         m.partition_records = 0;
         assert_eq!(m.chunks_per_move(), 1);
-    }
-
-    #[test]
-    fn batching_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.batching.enabled);
-        assert!(!BatchingParams::default().enabled);
-        let c = c.with_batching(BatchingParams::standard());
-        assert!(c.batching.enabled);
-        assert!(c.batching.adaptive);
-        assert_eq!(c.batching.max_batch, 16);
-        assert!(c.batching.high_watermark > c.batching.low_watermark);
-    }
-
-    #[test]
-    fn fixed_batching_pins_the_target() {
-        let p = BatchingParams::fixed(1);
-        assert!(p.enabled);
-        assert!(!p.adaptive);
-        assert_eq!(p.max_batch, 1);
-        assert_eq!(BatchingParams::fixed(8).max_batch, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one verb")]
-    fn rejects_zero_batch_size() {
-        let _ = BatchingParams::fixed(0);
     }
 
     #[test]

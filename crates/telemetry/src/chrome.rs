@@ -281,23 +281,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     vec![("verb".into(), Json::str(verb.label()))],
                 ));
             }
-            EventKind::BatchFlushed { dst, size } => {
-                out.push(instant(
-                    ev,
-                    "batch_flushed",
-                    vec![
-                        ("dst".into(), Json::UInt(dst as u64)),
-                        ("size".into(), Json::UInt(size as u64)),
-                    ],
-                ));
-            }
-            EventKind::BatchCoalesced { dst } => {
-                out.push(instant(
-                    ev,
-                    "batch_coalesced",
-                    vec![("dst".into(), Json::UInt(dst as u64))],
-                ));
-            }
             EventKind::MigrationStart { partition, dst } => {
                 out.push(instant(
                     ev,

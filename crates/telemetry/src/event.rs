@@ -414,19 +414,6 @@ pub enum EventKind {
         /// The fenced verb.
         verb: Verb,
     },
-    /// A verb batch closed and rang its doorbell (DESIGN.md §14).
-    BatchFlushed {
-        /// Destination node of the batch's queue pair.
-        dst: u16,
-        /// Verbs the batch carried (piggybacked squashes included).
-        size: u32,
-    },
-    /// A squash notification piggybacked on an open batch already
-    /// carrying a squash to the same destination.
-    BatchCoalesced {
-        /// Destination node of the batch's queue pair.
-        dst: u16,
-    },
     /// A planned shard migration announced itself: the epoch advanced
     /// and the copy phase is about to start streaming (DESIGN.md §15).
     MigrationStart {
@@ -482,8 +469,7 @@ pub enum EventKind {
 impl EventKind {
     /// Coarse category used by the Chrome exporter and metric names:
     /// `"txn"`, `"phase"`, `"net"`, `"bloom"`, `"lock"`, `"fault"`,
-    /// `"recovery"`, `"overload"`, `"membership"`, `"batch"`, or
-    /// `"migration"`.
+    /// `"recovery"`, `"overload"`, `"membership"`, or `"migration"`.
     pub const fn category(&self) -> &'static str {
         match self {
             EventKind::TxnBegin { .. } | EventKind::TxnCommit | EventKind::TxnAbort { .. } => "txn",
@@ -501,7 +487,6 @@ impl EventKind {
             EventKind::EpochChange { .. }
             | EventKind::Promotion { .. }
             | EventKind::VerbFenced { .. } => "membership",
-            EventKind::BatchFlushed { .. } | EventKind::BatchCoalesced { .. } => "batch",
             EventKind::MigrationStart { .. }
             | EventKind::ChunkMigrated { .. }
             | EventKind::MigrationCutover { .. } => "migration",
@@ -533,8 +518,6 @@ impl EventKind {
             EventKind::EpochChange { .. } => "epoch_change",
             EventKind::Promotion { .. } => "promotion",
             EventKind::VerbFenced { .. } => "verb_fenced",
-            EventKind::BatchFlushed { .. } => "batch_flushed",
-            EventKind::BatchCoalesced { .. } => "batch_coalesced",
             EventKind::MigrationStart { .. } => "migration_start",
             EventKind::ChunkMigrated { .. } => "chunk_migrated",
             EventKind::MigrationCutover { .. } => "migration_cutover",
@@ -623,8 +606,6 @@ mod tests {
                 "membership",
             ),
             (EventKind::VerbFenced { verb: Verb::Ack }, "membership"),
-            (EventKind::BatchFlushed { dst: 1, size: 4 }, "batch"),
-            (EventKind::BatchCoalesced { dst: 1 }, "batch"),
             (
                 EventKind::MigrationStart {
                     partition: 2,

@@ -57,10 +57,6 @@ pub fn event_json(ev: &TraceEvent) -> Json {
                 .field("new_primary", new_primary as u64);
         }
         EventKind::VerbFenced { verb } => b = b.field("verb", verb.label()),
-        EventKind::BatchFlushed { dst, size } => {
-            b = b.field("dst", dst as u64).field("size", size as u64);
-        }
-        EventKind::BatchCoalesced { dst } => b = b.field("dst", dst as u64),
         EventKind::MigrationStart { partition, dst } => {
             b = b
                 .field("partition", partition as u64)

@@ -136,11 +136,6 @@ impl MetricsRegistry {
                 EventKind::EpochChange { .. } => reg.inc("membership.epoch_change"),
                 EventKind::Promotion { .. } => reg.inc("membership.promotion"),
                 EventKind::VerbFenced { .. } => reg.inc("membership.verb_fenced"),
-                EventKind::BatchFlushed { size, .. } => {
-                    reg.inc("batch.flushed");
-                    reg.add("batch.verbs", size as u64);
-                }
-                EventKind::BatchCoalesced { .. } => reg.inc("batch.coalesced"),
                 EventKind::MigrationStart { .. } => reg.inc("migration.start"),
                 EventKind::ChunkMigrated { .. } => reg.inc("migration.chunk"),
                 EventKind::MigrationCutover { .. } => reg.inc("migration.cutover"),

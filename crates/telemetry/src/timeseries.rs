@@ -69,10 +69,6 @@ pub struct WindowStats {
     pub degraded: u64,
     /// Failover events (epoch changes + promotions) in the window.
     pub failover: u64,
-    /// Verb batches flushed in the window (DESIGN.md §14).
-    pub batch_flushes: u64,
-    /// Verbs those batches carried (occupancy = `batch_verbs / batch_flushes`).
-    pub batch_verbs: u64,
     /// Migration state-transfer chunks moved in the window (DESIGN.md §15).
     pub migration_moves: u64,
     /// Messages blocked by a cut or flapped-down link in the window
@@ -146,12 +142,6 @@ pub struct TimeSeries {
     cur_admission: u64,
     cur_degraded: u64,
     cur_failover: u64,
-    cur_batch_flushes: u64,
-    cur_batch_verbs: u64,
-    /// Whether any batch flush was ever recorded; gates the batching
-    /// fields in [`Self::to_json`] so batching-off runs render
-    /// byte-identically to builds without the subsystem.
-    batch_seen: bool,
     cur_migration_moves: u64,
     cur_link_cuts: u64,
     cur_self_fences: u64,
@@ -182,9 +172,6 @@ impl TimeSeries {
             cur_admission: 0,
             cur_degraded: 0,
             cur_failover: 0,
-            cur_batch_flushes: 0,
-            cur_batch_verbs: 0,
-            batch_seen: false,
             cur_migration_moves: 0,
             migration_seen: false,
             cur_link_cuts: 0,
@@ -220,8 +207,6 @@ impl TimeSeries {
             admission: std::mem::take(&mut self.cur_admission),
             degraded: std::mem::take(&mut self.cur_degraded),
             failover: std::mem::take(&mut self.cur_failover),
-            batch_flushes: std::mem::take(&mut self.cur_batch_flushes),
-            batch_verbs: std::mem::take(&mut self.cur_batch_verbs),
             migration_moves: std::mem::take(&mut self.cur_migration_moves),
             link_cuts: std::mem::take(&mut self.cur_link_cuts),
             self_fences: std::mem::take(&mut self.cur_self_fences),
@@ -303,15 +288,6 @@ impl TimeSeries {
     pub fn on_failover(&mut self) {
         if !self.finished {
             self.cur_failover += 1;
-        }
-    }
-
-    /// A verb batch carrying `size` verbs flushed (DESIGN.md §14).
-    pub fn on_batch_flush(&mut self, size: u32) {
-        if !self.finished {
-            self.cur_batch_flushes += 1;
-            self.cur_batch_verbs += size as u64;
-            self.batch_seen = true;
         }
     }
 
@@ -437,11 +413,6 @@ impl TimeSeries {
                         .field("admission", w.admission)
                         .field("degraded", w.degraded)
                         .field("failover", w.failover);
-                    if self.batch_seen {
-                        b = b
-                            .field("batch_flushes", w.batch_flushes)
-                            .field("batch_occupancy", ratio(w.batch_verbs, w.batch_flushes));
-                    }
                     if self.migration_seen {
                         b = b.field("migration_moves", w.migration_moves);
                     }
@@ -535,33 +506,6 @@ mod tests {
         assert!((dip.depth - 0.8).abs() < 1e-9);
         // No pre-disruption windows: no baseline.
         assert!(ts.goodput_dip(cy(0)).is_none());
-    }
-
-    #[test]
-    fn batch_series_is_windowed_and_gated() {
-        // Without a single flush the batching fields are absent, so a
-        // batching-off run renders identically to the pre-batching build.
-        let mut ts = TimeSeries::new(cy(100), 1);
-        ts.on_commit(0, cy(5));
-        ts.finish(Occupancy::default());
-        let doc = ts.to_json();
-        let w = &doc.get("windows").unwrap().as_arr().unwrap()[0];
-        assert!(w.get("batch_flushes").is_none(), "gated when batching off");
-
-        let mut ts = TimeSeries::new(cy(100), 1);
-        ts.on_batch_flush(4);
-        ts.on_batch_flush(2);
-        ts.roll(Occupancy::default());
-        ts.finish(Occupancy::default());
-        assert_eq!(ts.windows()[0].batch_flushes, 2);
-        assert_eq!(ts.windows()[0].batch_verbs, 6);
-        assert_eq!(ts.windows()[1].batch_flushes, 0);
-        let doc = ts.to_json();
-        let ws = doc.get("windows").unwrap().as_arr().unwrap();
-        assert_eq!(ws[0].get("batch_flushes").unwrap().as_u64(), Some(2));
-        assert_eq!(ws[0].get("batch_occupancy").unwrap().as_f64(), Some(3.0));
-        // Once batching was seen, every window carries the fields.
-        assert_eq!(ws[1].get("batch_flushes").unwrap().as_u64(), Some(0));
     }
 
     #[test]
