@@ -496,38 +496,49 @@ impl Hooks for Hades {
         e.drain_replicas_of(dead);
     }
 
-    /// Fence-then-flip: only slots mid commit handshake (Acks still
-    /// outstanding) touching a moving partition squash — their Intends
-    /// locked directories at the old primary. Exec-phase slots survive;
-    /// they route at commit time, and their NIC filter entries travel
-    /// with the cutover. Decided slots (Validations already in flight to
-    /// the pre-cutover primaries) leave their filter entries behind too:
-    /// those Validations clear them at the source.
+    /// Fence-then-flip. A live slot touching a moving partition squashes
+    /// if it holds a directory lock at the source: its Intends are in
+    /// flight (Acks outstanding) or its pessimistic fallback took a
+    /// partial lock there. The squash's Clears route via the pre-cutover
+    /// map and release the locks where they were taken. Every other live
+    /// slot survives: it routes at commit time, and its NIC filter
+    /// entries at the source travel with the cutover. Entries of slots
+    /// whose release is already on the wire (decided Validations,
+    /// squash Clears, a previous transaction's Validations) stay at the
+    /// source for that release to find.
     fn cutover(e: &mut HadesSim, now: Cycles, moves: &[(NodeId, NodeId)]) {
-        let mut fenced: Vec<RemoteTxKey> = Vec::new();
-        let mut exclude: Vec<RemoteTxKey> = Vec::new();
+        let mut carry: Vec<(NodeId, RemoteTxKey)> = Vec::new();
+        let mut fenced = 0u64;
         for si in 0..e.slots.len() {
             let s = &e.slots[si];
-            if s.txn.is_none() {
+            if s.txn.is_none() || s.awaiting_start || s.decided || !e.touches_moves(si, moves) {
                 continue;
             }
-            if s.decided {
-                exclude.push(e.key_of(si));
+            let (node, token) = (s.node, e.token(si));
+            let locked_at_source = moves
+                .iter()
+                .any(|&(src, _)| src != node && e.cl.lock_bufs[src.0 as usize].holds(token));
+            if s.p.acks_outstanding > 0 || locked_at_source {
+                let verb = if s.p.acks_outstanding > 0 {
+                    Verb::Intend
+                } else {
+                    Verb::Lock
+                };
+                e.fence_verb(node, verb);
+                fenced += 1;
+                e.squash(si, SquashReason::CommitTimeout);
                 continue;
             }
-            if s.p.acks_outstanding == 0 || !e.touches_moves(si, moves) {
-                continue;
-            }
-            let node = e.slots[si].node;
-            e.fence_verb(node, Verb::Intend);
-            fenced.push(e.key_of(si));
-            // The squash's Clears route via the pre-cutover map, finding
-            // the locked directories at the source.
-            e.squash(si, SquashReason::CommitTimeout);
+            let homes = s.p.remote.nodes();
+            let key = e.key_of(si);
+            carry.extend(
+                moves
+                    .iter()
+                    .filter(|(src, _)| homes.contains(src))
+                    .map(|&(src, _)| (src, key)),
+            );
         }
-        let n = fenced.len() as u64;
-        exclude.extend(fenced);
-        e.cl.finish_cutover(now, &exclude, n);
+        e.cl.finish_cutover(now, &carry, fenced);
     }
 
     fn finish(e: &mut HadesSim) -> u64 {
@@ -1675,7 +1686,13 @@ impl HadesSim {
         for dst in self.slots[si].p.remote.nodes() {
             let phys = self.cl.route(dst);
             if phys == node {
-                continue; // applied above
+                // The partition moved onto us after exec: its writes were
+                // applied above; release our filter entry here, as the
+                // Validation would have at the old primary.
+                let key = self.key_of(si);
+                self.cl.nics[nb].clear_remote_tx(key);
+                self.p.poisoned[nb].remove(&key);
+                continue;
             }
             let ops: Vec<ResolvedOp> = txn
                 .ops()

@@ -52,9 +52,7 @@ fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, Stri
     for t in [checking, savings] {
         for a in 0..ACCOUNTS {
             let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            let rec = out.cluster.db.record(rid);
-            assert!(!rec.is_locked(), "{protocol}: record lock leaked");
-            total = total.wrapping_add(rec.read_u64(OFF_BALANCE as usize));
+            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
         }
     }
     (out, jsonl, total)
@@ -71,16 +69,11 @@ fn check_invariants(protocol: Protocol, out: &RunOutcome, final_total: u64) {
         final_total, expected,
         "{protocol}: money not conserved (committed delta lost or double-applied)"
     );
-    for bufs in &out.cluster.lock_bufs {
-        assert_eq!(bufs.occupied(), 0, "{protocol}: Locking Buffers leaked");
-    }
-    for nic in &out.cluster.nics {
-        assert_eq!(
-            nic.active_remote_txs(),
-            0,
-            "{protocol}: NIC remote-tx filters leaked"
-        );
-    }
+    assert_eq!(
+        out.leaks(),
+        Vec::<String>::new(),
+        "{protocol}: state leaked"
+    );
 }
 
 proptest! {

@@ -266,8 +266,8 @@ failover Baseline 0xFA5CC7FCD77DA644 0x326541C9D8331EC8
 failover HadesH 0x6327E7530C8DA42E 0x0B42344B49976097
 failover Hades 0x970025C196AC1D8A 0xD90821714EAF28F6
 migration Baseline 0x9BE5D82F6A2262E9 0xD5BFB6FA72C25F27
-migration HadesH 0x25DF84E09DDC1001 0x523191801307B31D
-migration Hades 0x284C2ADB2372B2BC 0xA6DE4C79D51A4EBE
+migration HadesH 0x397B527743A1702C 0xA061BFC23DDBF544
+migration Hades 0x1240B31FDC39FC5E 0xD343C0225C2BEE56
 link-cut Baseline 0xF79BB99868F7B000 0x68AC0AFFCB9C3B2F
 link-cut HadesH 0xEE6612FBB77EA124 0xA7B8335B3D5DF343
 link-cut Hades 0x24B838EA7808DBE5 0x064026D979DBC9CE

@@ -6,8 +6,8 @@
 //! engine must still commit the full measured quota on the survivors,
 //! conserve the Smallbank ledger (crash-finalized commits included),
 //! advance the configuration epoch exactly once, promote a backup for
-//! every partition homed at the dead node, leak no replica-prepare
-//! state, and count exactly as many fenced verbs as the trace records.
+//! every partition homed at the dead node, leak nothing
+//! (`RunOutcome::leaks`), and count exactly as many fenced verbs as the trace records.
 //! With membership left off, the layer must be invisible: identical
 //! traces, stats, and ledgers to a run that never mentions it.
 
@@ -102,8 +102,9 @@ fn survivors_commit_through_a_permanent_crash() {
             "{p:?}: no backup was promoted for the dead node's partitions"
         );
         assert_eq!(
-            out.replica_pending_leaked, 0,
-            "{p:?}: replica-prepare state leaked through failover"
+            out.leaks(),
+            Vec::<String>::new(),
+            "{p:?}: state leaked through failover"
         );
     }
 }

@@ -137,6 +137,11 @@ fn no_write_lost_or_dual_committed_across_partition_and_heal() {
             nem.links_cut, nem.links_healed,
             "{p:?}: cut link windows were not all healed"
         );
+        assert_eq!(
+            out.leaks(),
+            Vec::<String>::new(),
+            "{p:?}: state leaked through the partition"
+        );
         let db = &out.cluster.db;
         let hist = db.commit_history();
         assert!(!hist.is_empty(), "{p:?}: no committed writes recorded");
@@ -203,6 +208,11 @@ fn minority_side_freezes_instead_of_reconfiguring() {
         assert_eq!(
             nem.commits_while_dead, 0,
             "{p:?}: a commit finalized on an excommunicated node"
+        );
+        assert_eq!(
+            out.leaks(),
+            Vec::<String>::new(),
+            "{p:?}: state leaked through the split"
         );
     }
 }

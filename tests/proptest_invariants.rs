@@ -82,7 +82,7 @@ fn run_fuzz(
     keys: u64,
     write_bias: f64,
     two_stage_bias: f64,
-) -> (RunOutcome, TableId, u64) {
+) -> RunOutcome {
     let shape = ClusterShape {
         nodes: 3,
         cores_per_node: 2,
@@ -105,8 +105,7 @@ fn run_fuzz(
     };
     let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let out = protocol.run(cl, ws, 0, 200);
-    (out, table, keys)
+    protocol.run(cl, ws, 0, 200)
 }
 
 /// Mixed Update/Rmw workloads cannot be conservation-checked at the byte
@@ -114,25 +113,13 @@ fn run_fuzz(
 /// checks the structural invariants: nothing locked, nothing leaked, and
 /// the run made progress. Byte-level conservation is covered by the
 /// RMW-only property below and the Smallbank tests.
-fn check_invariants(protocol: Protocol, out: &RunOutcome, table: TableId, keys: u64) {
-    let db = &out.cluster.db;
-    for k in 0..keys {
-        let rid = db.lookup(table, k).expect("key loaded").rid;
-        assert!(
-            !db.record(rid).is_locked(),
-            "{protocol:?}: key {k} left locked"
-        );
-    }
+fn check_invariants(protocol: Protocol, out: &RunOutcome) {
     assert!(out.total_commits >= 200, "{protocol:?}: not enough commits");
-    for bufs in &out.cluster.lock_bufs {
-        assert_eq!(bufs.occupied(), 0, "{protocol:?}: locking buffer leak");
-    }
-    for nic in &out.cluster.nics {
-        assert_eq!(nic.active_remote_txs(), 0, "{protocol:?}: NIC filter leak");
-    }
-    for mem in &out.cluster.mems {
-        assert_eq!(mem.speculative_lines(), 0, "{protocol:?}: spec line leak");
-    }
+    assert_eq!(
+        out.leaks(),
+        Vec::<String>::new(),
+        "{protocol:?}: state leaked"
+    );
 }
 
 proptest! {
@@ -145,8 +132,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::Hades, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::Hades, &out, table, keys);
+        let out = run_fuzz(Protocol::Hades, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::Hades, &out);
     }
 
     #[test]
@@ -156,8 +143,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::Baseline, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::Baseline, &out, table, keys);
+        let out = run_fuzz(Protocol::Baseline, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::Baseline, &out);
     }
 
     #[test]
@@ -167,8 +154,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::HadesH, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::HadesH, &out, table, keys);
+        let out = run_fuzz(Protocol::HadesH, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::HadesH, &out);
     }
 }
 

@@ -33,18 +33,19 @@ const SHAPE: ClusterShape = ClusterShape {
 const SRC: u16 = 2;
 const DST: u16 = 0;
 
-/// Runs `protocol` on a 4-node cluster, optionally with a migration plan
-/// installed and the per-record commit history on. Returns the outcome,
-/// the JSONL trace, and the final ledger total.
-fn run_traced(
-    protocol: Protocol,
-    migration: Option<MigrationParams>,
-    history: bool,
-) -> (RunOutcome, String, u64) {
-    let mut cfg = SimConfig::isca_default().with_shape(SHAPE);
-    if let Some(m) = migration {
-        cfg = cfg.with_migration(m);
+/// The 4-node test cluster, optionally with a migration plan installed.
+fn config(migration: Option<MigrationParams>) -> SimConfig {
+    let cfg = SimConfig::isca_default().with_shape(SHAPE);
+    match migration {
+        Some(m) => cfg.with_migration(m),
+        None => cfg,
     }
+}
+
+/// Runs `protocol` on `cfg`, optionally with the per-record commit
+/// history on. Returns the outcome, the JSONL trace, and the final
+/// ledger total.
+fn run_traced(protocol: Protocol, cfg: SimConfig, history: bool) -> (RunOutcome, String, u64) {
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(
         &mut db,
@@ -83,7 +84,7 @@ fn plan() -> MigrationParams {
 #[test]
 fn cluster_commits_through_a_live_migration() {
     for p in Protocol::ALL {
-        let (out, _jsonl, total) = run_traced(p, Some(plan()), false);
+        let (out, _jsonl, total) = run_traced(p, config(Some(plan())), false);
         assert_eq!(
             out.stats.committed, MEASURE,
             "{p:?}: cluster failed to fill the measurement window"
@@ -110,9 +111,37 @@ fn cluster_commits_through_a_live_migration() {
             "{p:?}: epoch did not advance at announce and cutover"
         );
         assert_eq!(
-            out.replica_pending_leaked, 0,
-            "{p:?}: replica-prepare state leaked through the migration"
+            out.leaks(),
+            Vec::<String>::new(),
+            "{p:?}: state leaked through the migration"
         );
+    }
+}
+
+/// Every engine over seeds 1..=20: the migrated run must finish, balance
+/// the ledger and leave nothing behind at either end of the move — no
+/// Locking Buffer stranded at the source, no NIC filter carried to the
+/// destination for a transaction that already released at the source.
+#[test]
+fn every_seed_migrates_without_leaks() {
+    for seed in 1..=20 {
+        for p in Protocol::ALL {
+            let cfg = config(Some(plan())).with_seed(seed);
+            let (out, _jsonl, total) = run_traced(p, cfg, false);
+            assert_eq!(out.stats.committed, MEASURE, "{p:?} seed {seed}: stalled");
+            let expected =
+                (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
+            assert_eq!(total, expected, "{p:?} seed {seed}: money not conserved");
+            assert_eq!(
+                out.stats.migration.partitions_moved, 1,
+                "{p:?} seed {seed}: cutover never happened"
+            );
+            assert_eq!(
+                out.leaks(),
+                Vec::<String>::new(),
+                "{p:?} seed {seed}: state leaked through the migration"
+            );
+        }
     }
 }
 
@@ -123,9 +152,9 @@ fn cluster_commits_through_a_live_migration() {
 #[test]
 fn migration_off_is_byte_identical() {
     for p in Protocol::ALL {
-        let (base_out, base_jsonl, base_total) = run_traced(p, None, false);
+        let (base_out, base_jsonl, base_total) = run_traced(p, config(None), false);
         let (off_out, off_jsonl, off_total) =
-            run_traced(p, Some(MigrationParams::default()), false);
+            run_traced(p, config(Some(MigrationParams::default())), false);
         assert_eq!(
             base_jsonl, off_jsonl,
             "{p:?}: disabled migration left a trace"
@@ -152,8 +181,8 @@ fn migration_off_is_byte_identical() {
 #[test]
 fn migrated_rerun_is_deterministic() {
     for p in Protocol::ALL {
-        let (a_out, a_jsonl, a_total) = run_traced(p, Some(plan()), false);
-        let (b_out, b_jsonl, b_total) = run_traced(p, Some(plan()), false);
+        let (a_out, a_jsonl, a_total) = run_traced(p, config(Some(plan())), false);
+        let (b_out, b_jsonl, b_total) = run_traced(p, config(Some(plan())), false);
         assert_eq!(a_jsonl, b_jsonl, "{p:?}: migrated rerun trace diverged");
         assert_eq!(
             a_out.stats.to_json().render(),
@@ -170,7 +199,7 @@ fn migrated_rerun_is_deterministic() {
 #[test]
 fn fence_counter_matches_trace_events_across_cutover() {
     for p in Protocol::ALL {
-        let (out, jsonl, _) = run_traced(p, Some(plan()), false);
+        let (out, jsonl, _) = run_traced(p, config(Some(plan())), false);
         assert_eq!(
             out.stats.migration.partitions_moved, 1,
             "{p:?}: cutover never happened"
@@ -198,7 +227,7 @@ fn fence_counter_matches_trace_events_across_cutover() {
 #[test]
 fn no_record_lost_or_duplicated_across_migration() {
     for p in Protocol::ALL {
-        let (out, _jsonl, _total) = run_traced(p, Some(plan()), true);
+        let (out, _jsonl, _total) = run_traced(p, config(Some(plan())), true);
         assert_eq!(
             out.stats.migration.partitions_moved, 1,
             "{p:?}: cutover never happened"
