@@ -7,11 +7,14 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin hwcost`
 
-use hades_bench::print_table;
+use hades_bench::{args_or_exit, print_table, QUICK};
 use hades_core::hwcost::{core_pair_bytes, nic_pair_bytes, per_node_cost, HwCostInputs};
 use hades_sim::config::BloomParams;
 
 fn main() {
+    // The arithmetic is instant: `--quick` is accepted like every driver's
+    // and changes nothing.
+    args_or_exit(&[QUICK]);
     let bloom = BloomParams::default();
     println!(
         "Core BF pair: {} B (paper: 0.7 KB); NIC BF pair: {} B (paper: 0.25 KB)",

@@ -12,10 +12,12 @@
 //! on stdout. In either mode the process exits non-zero if any experiment
 //! fails, listing the failures on stderr.
 
-use hades_bench::{experiment_from_args, has_flag, print_table};
+use hades_bench::{args_or_exit, experiment_from, print_table, Flag, LOSS, QUICK, SEED};
 use hades_bloom::{BloomFilter, DualWriteFilter};
 use hades_core::hwcost::{core_pair_bytes, nic_pair_bytes};
-use hades_core::runner::{compare_protocols, geomean, run_single, ComparisonRow, Protocol};
+use hades_core::runner::{
+    compare_protocols, geomean, run_single, ComparisonRow, Experiment, Protocol,
+};
 use hades_core::stats::RunStats;
 use hades_sim::config::BloomParams;
 use hades_sim::time::Cycles;
@@ -48,15 +50,14 @@ fn exit_on_failures(failures: &[String]) {
     std::process::exit(1);
 }
 
-fn json_main() {
-    let ex = experiment_from_args();
+fn json_main(ex: &Experiment) {
     let mut failures: Vec<String> = Vec::new();
     let mut apps = Vec::new();
     for app in APPS {
         let id = AppId::parse(app).unwrap();
         let mut protos = Json::obj();
         for p in Protocol::ALL {
-            match try_run(&format!("{app}/{p}"), || run_single(p, id, &ex)) {
+            match try_run(&format!("{app}/{p}"), || run_single(p, id, ex)) {
                 Ok(stats) => protos = protos.field(p.label(), stats.to_json()),
                 Err(e) => failures.push(e),
             }
@@ -88,11 +89,12 @@ fn json_main() {
 }
 
 fn main() {
-    if has_flag("--json") {
-        json_main();
+    let args = args_or_exit(&[QUICK, SEED, LOSS, Flag::switch("--json")]);
+    let ex = experiment_from(&args);
+    if args.has("--json") {
+        json_main(&ex);
         return;
     }
-    let ex = experiment_from_args();
     let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
 

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin table4 [--quick]`
 
-use hades_bench::{fmt_pct, print_table};
+use hades_bench::{args_or_exit, fmt_pct, print_table, QUICK};
 use hades_bloom::{BloomFilter, DualWriteFilter};
 use hades_sim::rng::SimRng;
 
@@ -59,7 +59,7 @@ impl LineFilter for DualWriteFilter {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args_or_exit(&[QUICK]).has("--quick");
     let trials: u64 = if quick { 200_000 } else { 2_000_000 };
     let mut rng = SimRng::seed_from(0xB10F);
     let llc_sets = 20_480; // default cluster LLC geometry

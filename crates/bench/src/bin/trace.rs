@@ -16,7 +16,7 @@
 //!
 //! Example: `cargo run --release -p hades-bench --bin trace`
 
-use hades_bench::{flag_value, seed_loss_from_args};
+use hades_bench::{args_or_exit, Flag, Value, SEED};
 use hades_core::runner::{run_single_traced, Experiment, Protocol};
 use hades_telemetry::chrome::chrome_trace;
 use hades_telemetry::jsonl::events_to_jsonl;
@@ -24,8 +24,17 @@ use hades_telemetry::registry::MetricsRegistry;
 use hades_telemetry::sink::Tracer;
 use hades_workloads::catalog::AppId;
 
+const FLAGS: [Flag; 5] = [
+    Flag::with("--protocol", &["baseline|hades-h|hades"], Value::Text),
+    Flag::with("--app", &["<name>"], Value::Text),
+    Flag::with("--out", &["<path>"], Value::Text),
+    Flag::with("--jsonl", &["<path>"], Value::Text),
+    SEED,
+];
+
 fn main() {
-    let protocol = match flag_value("--protocol").as_deref() {
+    let args = args_or_exit(&FLAGS);
+    let protocol = match args.value("--protocol") {
         None | Some("hades") => Protocol::Hades,
         Some("hades-h") => Protocol::HadesH,
         Some("baseline") => Protocol::Baseline,
@@ -34,30 +43,33 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let app_name = flag_value("--app").unwrap_or_else(|| "TATP".to_string());
-    let Some(app) = AppId::parse(&app_name) else {
+    let app_name = args.value("--app").unwrap_or("TATP");
+    let Some(app) = AppId::parse(app_name) else {
         eprintln!("unknown app {app_name:?}");
         std::process::exit(2);
     };
     let mut ex = Experiment::quick();
-    if let Some(seed) = seed_loss_from_args().seed {
+    if let Some(seed) = args.parsed("--seed") {
         ex.cfg = ex.cfg.with_seed(seed);
     }
-    let out = flag_value("--out").unwrap_or_else(|| {
-        format!(
-            "trace_{}_{}.json",
-            protocol.label().to_lowercase().replace('-', "_"),
-            app_name.to_lowercase().replace('-', "_")
-        )
-    });
+    let out = args.value("--out").map_or_else(
+        || {
+            format!(
+                "trace_{}_{}.json",
+                protocol.label().to_lowercase().replace('-', "_"),
+                app_name.to_lowercase().replace('-', "_")
+            )
+        },
+        str::to_string,
+    );
 
     let (tracer, sink) = Tracer::memory();
     let outcome = run_single_traced(protocol, app, &ex, tracer);
     let events = sink.borrow_mut().take_events();
 
     std::fs::write(&out, chrome_trace(&events)).expect("write chrome trace");
-    if let Some(path) = flag_value("--jsonl") {
-        std::fs::write(&path, events_to_jsonl(&events)).expect("write jsonl");
+    if let Some(path) = args.value("--jsonl") {
+        std::fs::write(path, events_to_jsonl(&events)).expect("write jsonl");
         eprintln!("wrote {path} (raw event stream)");
     }
 
